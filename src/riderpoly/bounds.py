@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import CapacityError, MoveSetError
 from .geometry import BoardPolygon, MoveSet
-from .linalg import bareiss_determinant, lcm
+from .linalg import bareiss_determinant
 
 DEFAULT_SYSTEM_BUDGET = 10**7
 DEFAULT_MINOR_BUDGET = 10**6

@@ -53,7 +53,7 @@ def cmd_count(args) -> int:
                                       budget=args.budget)
     else:
         table = count_series(ms, board, args.q, n_from, n_to,
-                             budget=args.budget, threads=args.threads)
+                             budget=args.budget)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     elif args.format == "json":
@@ -83,7 +83,7 @@ def cmd_fit(args) -> int:
     board = board_from_text(args.board)
     n_from, n_to = _parse_range(args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
-                         budget=args.budget, threads=args.threads)
+                         budget=args.budget)
     fitted, period, degree = _fit_table(args, ms, board, table)
     label = f"empirically verified on n in [{n_from},{n_to}]"
     data = {
@@ -110,7 +110,7 @@ def cmd_types(args) -> int:
     board = board_from_text(args.board)
     n_from, n_to = _parse_range(args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
-                         budget=args.budget, threads=args.threads)
+                         budget=args.budget)
     fitted, period, degree = _fit_table(args, ms, board, table)
     unlabelled_types = qp.types_count(fitted)
     census = []
@@ -166,7 +166,7 @@ def cmd_bounds(args) -> int:
     period_observed = None
     if args.observe_period_n:
         table = count_series(ms, board, args.q, 1, args.observe_period_n,
-                             budget=args.budget, threads=args.threads)
+                             budget=args.budget)
         try:
             denom = bounds_mod.denominator(ms, board, args.q,
                                            budget=args.system_budget)
@@ -192,7 +192,7 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "paper":
         raise RiderPolyError(f"unknown suite {args.suite!r}")
-    return run_paper_suite(threads=args.threads)
+    return run_paper_suite()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                   DEFAULT_BUDGET)),
                        help="elementary attack-test budget "
                             "(env RIDERPOLY_BUDGET)")
-        p.add_argument("--threads", type=int, default=1)
 
     p_count = sub.add_parser("count", help="exact count table")
     common(p_count)
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the reproduction battery")
     p_verify.add_argument("--suite", default="paper")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,15 +1,14 @@
 """Brute-force counting of nonattacking placements and configuration types.
 
 This module is the ground-truth oracle for everything symbolic: it counts
-by explicit enumeration of lattice cells, with incremental attack pruning,
-and never returns a partial answer (resource caps raise
-``CapacityError`` instead).
+and lists placements by explicit enumeration of lattice cells through the
+bitset core in ``kernel``, and never returns a partial answer (resource
+caps raise ``CapacityError`` instead).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
@@ -114,59 +113,32 @@ class CountTable:
 
 
 def count_series(ms: MoveSet, board: BoardPolygon, q: int,
-                 n_from: int, n_to: int, budget: int = DEFAULT_BUDGET,
-                 threads: int = 1) -> CountTable:
+                 n_from: int, n_to: int,
+                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """One count_nonattacking row per n in [n_from, n_to].
 
-    Rows are independent, so they may be evaluated in parallel; the result
-    never depends on the schedule.  Capacity errors carry the offending n.
+    Capacity errors carry the offending n.
     """
     if n_from > n_to:
         raise ValueError("n_from must not exceed n_to")
-    ns = list(range(n_from, n_to + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda n: count_nonattacking(ms, board, q, n, budget), ns))
-    else:
-        results = [count_nonattacking(ms, board, q, n, budget) for n in ns]
+    rows = {n: count_nonattacking(ms, board, q, n, budget)
+            for n in range(n_from, n_to + 1)}
     return CountTable(piece=ms.label, board=board, q=q,
-                      rows=dict(zip(ns, results)), method=METHOD_BRUTE_FORCE)
+                      rows=rows, method=METHOD_BRUTE_FORCE)
 
 
 def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
                       budget: int = DEFAULT_BUDGET):
-    """Yield every nonattacking q-subset of cells, as sorted position tuples."""
+    """Yield every nonattacking q-subset of cells, as sorted position tuples.
+
+    Subsets come in lexicographic order of their cell indices.
+    """
     if q < 1:
         raise ValueError("q must be positive")
     points = interior_lattice_points(board, n + 1)
     _check_budget(len(points), q, budget, n)
-    keys = attack_keys(ms, points)
-    npts = len(points)
-    nmoves = len(keys)
-    cols = list(zip(*keys)) if npts else []
-    used = [set() for _ in range(nmoves)]
-    chosen: list[int] = []
-
-    def extend(start: int):
-        depth = len(chosen)
-        last = npts - (q - depth)
-        for idx in range(start, last + 1):
-            col = cols[idx]
-            if any(col[r] in used[r] for r in range(nmoves)):
-                continue
-            chosen.append(idx)
-            if depth + 1 == q:
-                yield tuple(points[i] for i in chosen)
-            else:
-                for r in range(nmoves):
-                    used[r].add(col[r])
-                yield from extend(idx + 1)
-                for r in range(nmoves):
-                    used[r].remove(col[r])
-            chosen.pop()
-
-    yield from extend(0)
+    for combo in kernel.iter_nonattacking_subsets(attack_keys(ms, points), q):
+        yield tuple(points[i] for i in combo)
 
 
 @dataclass(frozen=True)

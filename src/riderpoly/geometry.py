@@ -8,14 +8,14 @@ dilate.
 
 Everything is exact: plain integers for moves, lattice points and attack
 tests, ``fractions.Fraction`` for board geometry.  All values are
-immutable and safe to share between threads.
+immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BoardError, MoveSetError
@@ -207,7 +207,7 @@ class BoardPolygon:
         """lcm of the denominators of all vertex coordinates."""
         result = 1
         for x, y in self.vertices:
-            result = _lcm(result, _lcm(x.denominator, y.denominator))
+            result = lcm(result, x.denominator, y.denominator)
         return result
 
     def scaled_strict_rows(self, t: int):
@@ -255,24 +255,27 @@ def board_from_text(text: str) -> BoardPolygon:
         parts = spec[5:].split(",")
         if len(parts) != 2:
             raise BoardError(f"bad rectangle syntax: {text!r}")
-        return BoardPolygon.rect(Fraction(parts[0]), Fraction(parts[1]))
+        return BoardPolygon.rect(*map(_parse_fraction, parts))
     if spec.startswith("poly:"):
         ineqs = []
         for chunk in spec[5:].split(";"):
             parts = chunk.split(",")
             if len(parts) != 3:
                 raise BoardError(f"bad inequality syntax: {chunk!r}")
-            ineqs.append((Fraction(parts[0]), Fraction(parts[1]), Fraction(parts[2])))
+            ineqs.append(tuple(map(_parse_fraction, parts)))
         return BoardPolygon(ineqs, text=spec)
     raise BoardError(f"unknown board syntax: {text!r}")
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BoardError(f"bad rational number: {text!r}") from None
+
+
 def _frac_text(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _convex_hull(points):

@@ -1,37 +1,77 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Bitset enumeration core: count and iterate nonattacking cell subsets.
 
-Set ``RIDERPOLY_PURE=1`` to force the pure-Python kernel (used by the
-benchmark and by tests that compare the two implementations).
+Cells are identified by their per-move attack keys: cells p and p' are
+attacked along move r exactly when ``keys[r][p] == keys[r][p']``.  Each
+cell i gets one int bitmask of the cells after it that share no key with
+it, so choosing a cell is one AND with the candidate mask and the last
+level of the count is a popcount.
 """
 
 from __future__ import annotations
 
-import os
-from math import comb
-
-from . import _pykernel
-
-_speedups = None
-if os.environ.get("RIDERPOLY_PURE") != "1":
-    try:
-        from . import _speedups
-    except ImportError:
-        _speedups = None
-
-HAVE_SPEEDUPS = _speedups is not None
-
-_I64_SAFE = 2**62
-
 
 def implementation_name() -> str:
-    return "compiled" if HAVE_SPEEDUPS else "pure-python"
+    return "pure-python"
+
+
+def _later_unattacked(keys) -> list[int]:
+    """Per cell i, the bitmask of cells j > i sharing no attack key with i."""
+    npts = len(keys[0])
+    attacked = [0] * npts
+    for col in keys:
+        lines: dict[int, int] = {}
+        for idx, key in enumerate(col):
+            lines[key] = lines.get(key, 0) | 1 << idx
+        for idx, key in enumerate(col):
+            attacked[idx] |= lines[key]
+    full = (1 << npts) - 1
+    return [full >> (idx + 1) << (idx + 1) & ~attacked[idx]
+            for idx in range(npts)]
 
 
 def count_nonattacking_subsets(keys, q: int) -> int:
-    """Dispatch to the compiled kernel when its 64-bit ranges suffice."""
-    if _speedups is not None and q >= 2:
-        npts = len(keys[0]) if keys else 0
-        if comb(npts, q) < _I64_SAFE and all(
-                -_I64_SAFE < k < _I64_SAFE for col in keys for k in col):
-            return _speedups.count_nonattacking_subsets(keys, q)
-    return _pykernel.count_nonattacking_subsets(keys, q)
+    """Number of q-subsets of cells with no two cells sharing any attack key.
+
+    ``keys`` is a list with one sequence of integer keys per move, all of
+    the same length (the number of cells).
+    """
+    if q == 0:
+        return 1
+    npts = len(keys[0]) if keys else 0
+    if q == 1:
+        return npts
+    if npts < q:
+        return 0
+    masks = _later_unattacked(keys)
+
+    def extend(cand: int, left: int) -> int:
+        if left == 1:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            total += extend(cand & masks[low.bit_length() - 1], left - 1)
+        return total
+
+    return extend((1 << npts) - 1, q)
+
+
+def iter_nonattacking_subsets(keys, q: int):
+    """Yield every nonattacking q-subset as an ascending index tuple.
+
+    Tuples come in lexicographic order; ``q`` must be positive.
+    """
+    masks = _later_unattacked(keys)
+
+    def extend(cand: int, chosen: tuple, left: int):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            idx = low.bit_length() - 1
+            if left == 1:
+                yield chosen + (idx,)
+            else:
+                yield from extend(cand & masks[idx], chosen + (idx,), left - 1)
+
+    yield from extend((1 << len(masks)) - 1, (), q)

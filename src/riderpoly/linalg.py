@@ -7,11 +7,7 @@ deliberately no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+from math import gcd, lcm
 
 
 def divisors(n: int) -> list[int]:
@@ -112,21 +108,3 @@ def bareiss_determinant(rows) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[size - 1][size - 1]
-
-
-def solve_full_rank(rows, rhs) -> list[Fraction] | None:
-    """Solve a square rational system exactly; None if singular."""
-    size = len(rows)
-    mat = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = mat[col][col]
-        mat[col] = [x / inv for x in mat[col]]
-        for r in range(size):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return [mat[r][size] for r in range(size)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     FitError,
@@ -20,7 +20,7 @@ from .errors import (
     PeriodNotFoundError,
     ValidationMismatchError,
 )
-from .linalg import divisors, lcm
+from .linalg import divisors
 
 
 def poly_eval(coeffs, x) -> Fraction:

@@ -47,7 +47,6 @@ class CheckResult:
 class PaperSuite:
     """Shared artifacts for the acceptance battery (tables, semilattices)."""
 
-    threads: int = 1
     board: BoardPolygon = field(default_factory=BoardPolygon.square)
     _cache: dict = field(default_factory=dict)
 
@@ -58,7 +57,7 @@ class PaperSuite:
         key = ("table", name, q, n_to)
         if key not in self._cache:
             self._cache[key] = count_series(
-                self.piece(name), self.board, q, 1, n_to, threads=self.threads)
+                self.piece(name), self.board, q, 1, n_to)
         return self._cache[key]
 
     def semilattice(self, name: str, q: int):
@@ -72,7 +71,7 @@ class PaperSuite:
         if key not in self._cache:
             self._cache[key] = reconstruction_series(
                 self.semilattice("queen", 4), self.board, 1, 70,
-                cross_check_up_to=6)
+                cross_check_up_to=16)
         return self._cache[key]
 
 
@@ -334,13 +333,13 @@ ALL_CHECKS = (
 )
 
 
-def run_paper_suite(threads: int = 1, out=print) -> int:
+def run_paper_suite(out=print) -> int:
     """Run the battery, print one line per check, return the exit code.
 
     Exit 0 when every check passes and every documented-defect check
     fails exactly as documented; 1 otherwise.
     """
-    suite = PaperSuite(threads=threads)
+    suite = PaperSuite()
     failures = 0
     for check in ALL_CHECKS:
         for result in check(suite):

@@ -24,7 +24,7 @@ from riderpoly.verify import (
 
 @pytest.fixture(scope="module")
 def suite():
-    return PaperSuite(threads=2)
+    return PaperSuite()
 
 
 def run(check, suite):

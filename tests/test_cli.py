@@ -73,6 +73,15 @@ class TestCount:
                           "--n", "1:3")
         assert code == 2
 
+    @pytest.mark.parametrize("board", ["rect:1/0,1",
+                                       "poly:-1,0,0;0,-1,0;1,1,1/0"])
+    def test_zero_denominator_board_is_usage_error(self, capsys, board):
+        code = main(["count", "--piece", "queen", "--q", "2", "--n", "3",
+                     "--board", board])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: bad rational number: '1/0'\n"
+
 
 class TestFit:
     def test_nightrider_fit_json(self, capsys):

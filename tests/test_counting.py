@@ -61,11 +61,6 @@ class TestCountSeries:
         table = count_series(rook, square, 0, 1, 5)
         assert all(table.rows[n] == (1, 1) for n in table.ns())
 
-    def test_threads_match_serial(self, nightrider, square):
-        serial = count_series(nightrider, square, 2, 1, 8)
-        threaded = count_series(nightrider, square, 2, 1, 8, threads=2)
-        assert serial.rows == threaded.rows
-
     def test_capacity_error_carries_n(self, queen, square):
         with pytest.raises(CapacityError) as exc:
             count_series(queen, square, 3, 1, 25, budget=10**5)

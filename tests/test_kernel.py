@@ -1,24 +1,34 @@
-"""Kernel equivalence: compiled vs pure Python vs an unpruned oracle."""
+"""The bitset enumeration core against an unpruned oracle."""
 
 from itertools import combinations
 
 import pytest
 
-from riderpoly import _pykernel, kernel
-from riderpoly.counting import attack_keys, count_nonattacking
-from riderpoly.geometry import attacks, interior_lattice_points, piece_from_text
+from riderpoly import kernel
+from riderpoly.counting import attack_keys, count_nonattacking, iter_nonattacking
+from riderpoly.geometry import (
+    attacks,
+    board_from_text,
+    interior_lattice_points,
+    piece_from_text,
+)
 
 PIECES = ["queen", "rook", "bishop", "nightrider"]
+ALL_PIECES = PIECES + ["semiqueen", "-1,2;-2,1;1,1"]
+TRIANGLE = "poly:-1,0,0;0,-1,0;1,1,1"
+BOARDS = ["square", TRIANGLE]
+
+
+def naive_subsets(ms, board, q, n):
+    """Unoptimized oracle: test every q-subset of cells, no pruning."""
+    points = interior_lattice_points(board, n + 1)
+    for combo in combinations(points, q):
+        if all(not attacks(a, b, ms) for a, b in combinations(combo, 2)):
+            yield combo
 
 
 def naive_count(ms, board, q, n):
-    """Unoptimized oracle: test every q-subset of cells, no pruning."""
-    points = interior_lattice_points(board, n + 1)
-    total = 0
-    for combo in combinations(points, q):
-        if all(not attacks(a, b, ms) for a, b in combinations(combo, 2)):
-            total += 1
-    return total
+    return sum(1 for _ in naive_subsets(ms, board, q, n))
 
 
 @pytest.mark.parametrize("name", PIECES)
@@ -30,14 +40,35 @@ def test_optimized_counter_matches_unpruned_oracle(name, q, square):
         assert unlab == naive_count(ms, square, q, n), (name, q, n)
 
 
-@pytest.mark.parametrize("name", PIECES + ["semiqueen"])
-def test_pure_kernel_matches_selected_kernel(name, square):
+def check_kernel_against_oracle(name, board_text):
     ms = piece_from_text(name)
+    board = board_from_text(board_text)
     for q, n in [(2, 9), (3, 7), (4, 5), (5, 4)]:
-        points = interior_lattice_points(square, n + 1)
-        keys = attack_keys(ms, points)
+        keys = attack_keys(ms, interior_lattice_points(board, n + 1))
         assert (kernel.count_nonattacking_subsets(keys, q)
-                == _pykernel.count_nonattacking_subsets(keys, q))
+                == naive_count(ms, board, q, n)), (q, n)
+
+
+@pytest.mark.parametrize("name", ALL_PIECES)
+def test_pure_kernel_matches_selected_kernel(name):
+    """The pure-Python bitset kernel, the only one selected, against the
+    unpruned oracle on the square board."""
+    check_kernel_against_oracle(name, "square")
+
+
+@pytest.mark.parametrize("name", ALL_PIECES)
+def test_kernel_matches_unpruned_oracle_on_triangle(name):
+    check_kernel_against_oracle(name, TRIANGLE)
+
+
+@pytest.mark.parametrize("board_text", BOARDS)
+@pytest.mark.parametrize("name", ALL_PIECES)
+def test_iteration_matches_oracle_in_lexicographic_order(name, board_text):
+    ms = piece_from_text(name)
+    board = board_from_text(board_text)
+    for q in (1, 2, 3):
+        assert (list(iter_nonattacking(ms, board, q, 5))
+                == list(naive_subsets(ms, board, q, 5))), q
 
 
 def test_trivial_cases():
@@ -50,4 +81,4 @@ def test_trivial_cases():
 
 
 def test_kernel_name_is_reported():
-    assert kernel.implementation_name() in ("compiled", "pure-python")
+    assert kernel.implementation_name() == "pure-python"
