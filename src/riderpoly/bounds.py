@@ -4,15 +4,13 @@ Three tiers, each an upper bound for the one before: the observed period
 of the fitted counting quasipolynomial divides the denominator (lcm of
 vertex-coordinate denominators of the inside-out polytope), which divides
 the lcm of subdeterminants of the attack-equation matrix.  Everything is
-exact integer/rational arithmetic.
+exact integer arithmetic: vertices come from fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import CapacityError, MoveSetError
 from .geometry import BoardPolygon, MoveSet
@@ -47,29 +45,6 @@ def kron(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GrandMatrix:
-    """All equations that can pin an inside-out vertex.
-
-    ``top`` holds one attack row per (pair, move): the move normal at
-    piece i and its negation at piece j, right-hand side zero.  ``bottom``
-    holds the board boundary rows per piece (integer-scaled), with the
-    scaled constants in ``rhs_bottom``.
-    """
-
-    q: int
-    top: tuple[tuple[int, ...], ...]
-    bottom: tuple[tuple[int, ...], ...]
-    rhs_bottom: tuple[int, ...]
-
-    @property
-    def rows_with_rhs(self):
-        rows = [(row, Fraction(0)) for row in self.top]
-        rows.extend((row, Fraction(rhs))
-                    for row, rhs in zip(self.bottom, self.rhs_bottom))
-        return rows
-
-
 def attack_rows(ms: MoveSet, q: int) -> tuple[tuple[int, ...], ...]:
     """The top block of the grand matrix (equals eta_transpose(q) kron M)."""
     rows = []
@@ -82,52 +57,67 @@ def attack_rows(ms: MoveSet, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> GrandMatrix:
+def board_rows(board: BoardPolygon, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """(row, rhs) per piece and board edge: the integer facets of board^k."""
+    rows = []
+    for piece in range(k):
+        for a, b, c in board.scaled_strict_rows(1):
+            row = [0] * (2 * k)
+            row[2 * piece], row[2 * piece + 1] = a, b
+            rows.append((tuple(row), c))
+    return rows
+
+
+def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
+    """All equations that can pin an inside-out vertex, as (row, rhs) pairs.
+
+    First one attack row per (pair, move), right-hand side zero: the move
+    normal at piece i and its negation at piece j.  Then the board rows
+    of every piece, from ``board_rows``.
+    """
     if q < 1:
         raise ValueError("q must be positive")
-    bottom = []
-    rhs = []
-    for piece in range(q):
-        for a, b, beta in board.inequalities:
-            scale = beta.denominator
-            row = [0] * (2 * q)
-            row[2 * piece] = a * scale
-            row[2 * piece + 1] = b * scale
-            bottom.append(tuple(row))
-            rhs.append(beta.numerator)
-    return GrandMatrix(q=q, top=attack_rows(ms, q),
-                       bottom=tuple(bottom), rhs_bottom=tuple(rhs))
+    return [(row, 0) for row in attack_rows(ms, q)] + board_rows(board, q)
 
 
 def scan_vertices(forced, optional, ncols: int, feasible):
-    """Yield solutions of every nonsingular square system built from the rows.
+    """Yield the solution of every nonsingular square system built from the rows.
 
-    ``forced`` rows (with right-hand sides) participate in every system;
-    the scan extends them with independent choices from ``optional`` until
-    the rank reaches ``ncols``, sharing elimination work along common
-    prefixes.  Solutions failing ``feasible`` are dropped.
+    Rows are (integer row, integer rhs) pairs.  ``forced`` rows take part
+    in every system; the scan extends them with independent choices from
+    ``optional`` until the rank reaches ``ncols``, sharing elimination work
+    along common prefixes.  Elimination is fraction-free Gauss-Jordan:
+    rows are combined by cross-multiplying and divided by their content,
+    with positive pivots.  A solution is the point (d, nums), d > 0, whose
+    coordinate i is nums[i] / d; it is yielded if ``feasible(point)``.
     """
 
     def insert(row, rhs, echelon):
-        r = [Fraction(x) for x in row]
-        b = Fraction(rhs)
+        r, b = list(row), rhs
         for pivot_col, erow, erhs in echelon:
             factor = r[pivot_col]
-            if factor != 0:
-                r = [a - factor * c for a, c in zip(r, erow)]
-                b -= factor * erhs
-        pivot = next((idx for idx, x in enumerate(r) if x != 0), None)
+            if factor:
+                e = erow[pivot_col]
+                r = [e * x - factor * y for x, y in zip(r, erow)]
+                b = e * b - factor * erhs
+        pivot = next((idx for idx, x in enumerate(r) if x), None)
         if pivot is None:
             return None
-        inv = r[pivot]
-        r = [x / inv for x in r]
-        b /= inv
+        g = gcd(*r, b)
+        if r[pivot] < 0:
+            g = -g
+        r = [x // g for x in r]
+        b //= g
+        e = r[pivot]
         updated = []
         for pivot_col, erow, erhs in echelon:
             factor = erow[pivot]
-            if factor != 0:
-                erow = [a - factor * c for a, c in zip(erow, r)]
-                erhs -= factor * b
+            if factor:
+                erow = [e * x - factor * y for x, y in zip(erow, r)]
+                erhs = e * erhs - factor * b
+                g = gcd(*erow, erhs)
+                erow = [x // g for x in erow]
+                erhs //= g
             updated.append((pivot_col, erow, erhs))
         updated.append((pivot, r, b))
         return updated
@@ -141,10 +131,13 @@ def scan_vertices(forced, optional, ncols: int, feasible):
     def rec(start: int, echelon):
         need = ncols - len(echelon)
         if need == 0:
-            solution = [Fraction(0)] * ncols
-            for pivot_col, _, erhs in echelon:
-                solution[pivot_col] = erhs
-            point = tuple(solution)
+            # A list: lcm(*generator) parks resized tuples on the tuple
+            # free list, about 0.2 MB of peak RSS per scan.
+            d = lcm(*[erow[pivot_col] for pivot_col, erow, _ in echelon])
+            nums = [0] * ncols
+            for pivot_col, erow, erhs in echelon:
+                nums[pivot_col] = erhs * (d // erow[pivot_col])
+            point = (d, tuple(nums))
             if feasible(point):
                 yield point
             return
@@ -157,6 +150,27 @@ def scan_vertices(forced, optional, ncols: int, feasible):
     yield from rec(0, base)
 
 
+def board_vertex_denominator(forced, optional, board: BoardPolygon,
+                             k: int) -> int:
+    """lcm of coordinate denominators over the feasible vertices of a scan.
+
+    Scans ``forced`` and ``optional`` (row, rhs) pairs over the 2k
+    coordinates of k pieces and keeps the points inside the closed
+    polytope board^k, tested in integers as a*x + b*y <= c*d per piece.
+    """
+    ineqs = board.scaled_strict_rows(1)
+
+    def feasible(point) -> bool:
+        d, nums = point
+        return all(a * nums[i] + b * nums[i + 1] <= c * d
+                   for i in range(0, 2 * k, 2) for a, b, c in ineqs)
+
+    result = 1
+    for d, nums in scan_vertices(forced, optional, 2 * k, feasible):
+        result = lcm(result, d // gcd(d, *nums))
+    return result
+
+
 def denominator(ms: MoveSet, board: BoardPolygon, q: int,
                 budget: int = DEFAULT_SYSTEM_BUDGET) -> int:
     """lcm of coordinate denominators over all inside-out vertices.
@@ -164,28 +178,13 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
     A vertex is any point of the closed polytope board^q uniquely
     determined by k attack equations plus 2q - k boundary equalities.
     """
-    gm = grand_matrix(ms, board, q)
-    rows = gm.rows_with_rhs
+    rows = grand_matrix(ms, board, q)
     systems = comb(len(rows), 2 * q)
     if systems > budget:
         raise CapacityError(
             f"{systems} candidate systems exceed budget {budget}",
             systems=systems, budget=budget)
-
-    ineqs = board.inequalities
-
-    def feasible(point) -> bool:
-        for piece in range(q):
-            x, y = point[2 * piece], point[2 * piece + 1]
-            if any(a * x + b * y > beta for a, b, beta in ineqs):
-                return False
-        return True
-
-    result = 1
-    for point in scan_vertices([], rows, 2 * q, feasible):
-        for coord in point:
-            result = lcm(result, coord.denominator)
-    return result
+    return board_vertex_denominator([], rows, board, q)
 
 
 def lcmd_direct(matrix, order: int | None = None,
@@ -241,9 +240,12 @@ def lcmd_closed_form_two_moves(ms: MoveSet, q: int) -> int:
 
 def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
                   system_budget: int = DEFAULT_SYSTEM_BUDGET,
-                  minor_budget: int = DEFAULT_MINOR_BUDGET,
-                  period_observed: int | None = None) -> dict:
-    """Machine-readable bounds summary for one (piece, board, q)."""
+                  minor_budget: int = DEFAULT_MINOR_BUDGET) -> dict:
+    """Machine-readable bounds summary for one (piece, board, q).
+
+    The period fields stay None; a caller that observes the period from
+    a count table fills them in.
+    """
     notes = []
     exhaustive = True
     try:
@@ -269,13 +271,13 @@ def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
         "piece": ms.label,
         "board": board.as_text(),
         "q": q,
-        "period_observed": period_observed,
+        "period_observed": None,
         "denominator": denom,
         "lcmd": lcmd_val,
         "lcmd_closed_form": closed_form,
         "method": {"denominator": "exact vertex enumeration",
                    "lcmd": "exact minor enumeration",
-                   "period": "table fit" if period_observed else None},
+                   "period": None},
         "exhaustive": exhaustive,
         "notes": notes,
     }

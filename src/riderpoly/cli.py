@@ -163,20 +163,16 @@ def cmd_mobius(args) -> int:
 def cmd_bounds(args) -> int:
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
-    period_observed = None
+    report = bounds_mod.bounds_report(
+        ms, board, args.q, system_budget=args.system_budget,
+        minor_budget=args.minor_budget)
     if args.observe_period_n:
         table = count_series(ms, board, args.q, 1, args.observe_period_n,
                              budget=args.budget)
-        try:
-            denom = bounds_mod.denominator(ms, board, args.q,
-                                           budget=args.system_budget)
-        except CapacityError:
-            denom = None
-        period_observed = qp.detect_period(
-            table, 2 * args.q, args.p_max, denominator_bound=denom)
-    report = bounds_mod.bounds_report(
-        ms, board, args.q, system_budget=args.system_budget,
-        minor_budget=args.minor_budget, period_observed=period_observed)
+        report["period_observed"] = qp.detect_period(
+            table, 2 * args.q, args.p_max,
+            denominator_bound=report["denominator"])
+        report["method"]["period"] = "table fit"
     _emit(args, report, [
         f"{ms.label} on {board.as_text()}, q={args.q}",
         f"  period observed : {report['period_observed']}",

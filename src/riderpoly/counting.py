@@ -15,7 +15,13 @@ from math import factorial
 
 from . import kernel
 from .errors import AttackingConfigurationError, CapacityError
-from .geometry import BoardPolygon, Configuration, MoveSet, interior_lattice_points
+from .geometry import (
+    BoardPolygon,
+    Configuration,
+    MoveSet,
+    bounding_box_cells,
+    interior_lattice_points,
+)
 
 DEFAULT_BUDGET = 10**10
 
@@ -28,12 +34,24 @@ def attack_keys(ms: MoveSet, points) -> list[list[int]]:
     return [[m.d * x - m.c * y for (x, y) in points] for m in ms]
 
 
-def _check_budget(npts: int, q: int, budget: int, n: int) -> None:
-    envelope = npts ** min(q, 3)
+def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
+    """The cells at size n, once the walk and the search fit the budget.
+
+    The walk visits every point of the bounding box, so its size is
+    checked before the walk starts; the search envelope after it.
+    """
+    cells = bounding_box_cells(board, n + 1)
+    if cells > budget:
+        raise CapacityError(
+            f"board walk of {cells} cells exceeds budget {budget} at n={n}",
+            n=n, cells=cells, budget=budget)
+    points = interior_lattice_points(board, n + 1)
+    envelope = len(points) ** min(q, 3)
     if envelope > budget:
         raise CapacityError(
             f"search envelope {envelope} exceeds budget {budget} at n={n}",
             n=n, envelope=envelope, budget=budget)
+    return points
 
 
 def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
@@ -49,8 +67,7 @@ def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
         raise ValueError("n must be nonnegative")
     if q == 0:
         return 1, 1
-    points = interior_lattice_points(board, n + 1)
-    _check_budget(len(points), q, budget, n)
+    points = _budgeted_points(board, q, n, budget)
     unlabelled = kernel.count_nonattacking_subsets(attack_keys(ms, points), q)
     return factorial(q) * unlabelled, unlabelled
 
@@ -135,8 +152,7 @@ def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     """
     if q < 1:
         raise ValueError("q must be positive")
-    points = interior_lattice_points(board, n + 1)
-    _check_budget(len(points), q, budget, n)
+    points = _budgeted_points(board, q, n, budget)
     for combo in kernel.iter_nonattacking_subsets(attack_keys(ms, points), q):
         yield tuple(points[i] for i in combo)
 

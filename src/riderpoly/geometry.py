@@ -307,15 +307,25 @@ def _shoelace(vertices) -> Fraction:
     return abs(total)
 
 
-def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
-    """Integer points strictly inside the t-fold dilate, in lexicographic order."""
+def _lattice_box(board: BoardPolygon, t: int) -> tuple[int, int, int, int]:
+    """(x_lo, x_hi, y_lo, y_hi): the integer bounding box of the t-fold dilate."""
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
-    rows = board.scaled_strict_rows(t)
     xs = [t * v[0] for v in board.vertices]
     ys = [t * v[1] for v in board.vertices]
-    x_lo, x_hi = ceil(min(xs)), floor(max(xs))
-    y_lo, y_hi = ceil(min(ys)), floor(max(ys))
+    return ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys))
+
+
+def bounding_box_cells(board: BoardPolygon, t: int) -> int:
+    """Integer points of the t-fold dilate's bounding box: the cost of a cell walk."""
+    x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
+    return max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
+
+
+def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
+    """Integer points strictly inside the t-fold dilate, in lexicographic order."""
+    x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
+    rows = board.scaled_strict_rows(t)
     points = []
     for x in range(x_lo, x_hi + 1):
         for y in range(y_lo, y_hi + 1):

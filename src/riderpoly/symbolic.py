@@ -21,7 +21,7 @@ from math import factorial
 
 from . import quasipoly as qp
 from .arrangement import Flat, Semilattice, alpha, decompose
-from .bounds import scan_vertices
+from .bounds import board_rows, board_vertex_denominator
 from .counting import (
     DEFAULT_BUDGET,
     METHOD_RECONSTRUCTION,
@@ -50,33 +50,8 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
     kappa = flat.kappa
     if kappa == 0:
         return 1
-    eqs = [(row, Fraction(0)) for row in essential_rows(flat)]
-    boundary = []
-    for piece in range(kappa):
-        for a, b, beta in board.inequalities:
-            row = [0] * (2 * kappa)
-            row[2 * piece] = a
-            row[2 * piece + 1] = b
-            boundary.append((tuple(row), beta))
-
-    def feasible(point) -> bool:
-        for piece in range(kappa):
-            x, y = point[2 * piece], point[2 * piece + 1]
-            if any(a * x + b * y > beta for a, b, beta in board.inequalities):
-                return False
-        return True
-
-    result = 1
-    for point in scan_vertices(eqs, boundary, 2 * kappa, feasible):
-        for coord in point:
-            result = result * coord.denominator // _gcd(result, coord.denominator)
-    return result
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    eqs = [(row, 0) for row in essential_rows(flat)]
+    return board_vertex_denominator(eqs, board_rows(board, kappa), board, kappa)
 
 
 def board_count_qp(board: BoardPolygon) -> qp.Quasipolynomial:

@@ -1,31 +1,36 @@
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riderpoly import bounds
 from riderpoly.errors import CapacityError, MoveSetError
 from riderpoly.geometry import board_from_text, piece_from_text
+from riderpoly.linalg import bareiss_determinant
 
 
 class TestGrandMatrix:
     def test_queen_q2_top_block(self, queen, square):
-        gm = bounds.grand_matrix(queen, square, 2)
-        assert len(gm.top) == 4
+        rows = bounds.grand_matrix(queen, square, 2)
+        assert len(bounds.attack_rows(queen, 2)) == 4
         # first move (1,0): perp (0,-1) at piece 0, negated at piece 1
-        assert gm.top[0] == (0, -1, 0, 1)
+        assert rows[0] == ((0, -1, 0, 1), 0)
 
     def test_bishop_q3_top_size(self, bishop, square):
-        assert len(bounds.grand_matrix(bishop, square, 3).top) == 6
+        assert len(bounds.attack_rows(bishop, 3)) == 6
+        assert len(bounds.grand_matrix(bishop, square, 3)) == 6 + 3 * 4
 
     def test_rect_bottom_rows_for_single_piece(self, rook):
         board = board_from_text("rect:3,2")
-        gm = bounds.grand_matrix(rook, board, 1)
-        rows = set(zip(gm.bottom, gm.rhs_bottom))
+        rows = set(bounds.grand_matrix(rook, board, 1))
         assert rows == {((-1, 0), 0), ((0, -1), 0), ((1, 0), 3), ((0, 1), 2)}
 
     def test_square_bottom_is_signed_identity(self, queen, square):
-        gm = bounds.grand_matrix(queen, square, 2)
-        as_set = {tuple(row) for row in gm.bottom}
+        rows = bounds.grand_matrix(queen, square, 2)
+        as_set = {row for row, _ in rows[len(bounds.attack_rows(queen, 2)):]}
         identity = set()
         for col in range(4):
             plus = [0] * 4
@@ -57,22 +62,74 @@ class TestDenominator:
             bounds.denominator(nightrider, square, 4)
 
     def test_vertices_feasible_and_exact(self, queen, square):
-        gm = bounds.grand_matrix(queen, square, 2)
-        rows = gm.rows_with_rhs
+        rows = bounds.grand_matrix(queen, square, 2)
 
         seen = []
 
         def feasible(point):
-            for piece in range(2):
-                x, y = point[2 * piece], point[2 * piece + 1]
-                if not (0 <= x <= 1 and 0 <= y <= 1):
-                    return False
+            d, nums = point
+            if not all(0 <= x <= d for x in nums):
+                return False
             seen.append(point)
             return True
 
-        for point in bounds.scan_vertices([], rows, 4, feasible):
-            assert all(0 <= c <= 1 for c in point)
+        for d, nums in bounds.scan_vertices([], rows, 4, feasible):
+            assert d > 0
+            assert all(0 <= F(x, d) <= 1 for x in nums)
         assert seen  # the scan visits actual vertices
+
+
+# Move directions with entries in [-2, 2], one per sign class: every
+# subset is a valid piece (coprime, pairwise non-parallel).
+DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+
+
+def _cramer_vertices(forced, optional, ncols, board):
+    """Feasible solutions of every nonsingular system, by Cramer's rule."""
+    found = Counter()
+    for chosen in combinations(optional, ncols - len(forced)):
+        system = list(forced) + list(chosen)
+        matrix = [list(row) for row, _ in system]
+        det = bareiss_determinant(matrix)
+        if not det:
+            continue
+        point = []
+        for col in range(ncols):
+            swapped = [row[:col] + [rhs] + row[col + 1:]
+                       for row, (_, rhs) in zip(matrix, system)]
+            point.append(F(bareiss_determinant(swapped), det))
+        if _inside(point, board):
+            found[tuple(point)] += 1
+    return found
+
+
+def _inside(point, board) -> bool:
+    return all(a * point[i] + b * point[i + 1] <= beta
+               for i in range(0, len(point), 2)
+               for a, b, beta in board.inequalities)
+
+
+@pytest.mark.parametrize("board_text", [
+    "square", "poly:-1,0,0;0,-1,0;1,1,1", "rect:3/2,1"])
+@settings(max_examples=25, deadline=None)
+@given(moves=st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=4,
+                      unique=True),
+       force_first=st.booleans())
+def test_scan_matches_cramer_reference(board_text, moves, force_first):
+    board = board_from_text(board_text)
+    ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
+    rows = bounds.grand_matrix(ms, board, 2)
+    forced, optional = (rows[:1], rows[1:]) if force_first else ([], rows)
+
+    scanned = Counter(
+        tuple(F(x, d) for x in nums)
+        for d, nums in bounds.scan_vertices(
+            forced, optional, 4,
+            lambda p: _inside([F(x, p[0]) for x in p[1]], board)))
+    reference = _cramer_vertices(forced, optional, 4, board)
+    assert scanned == reference
+    assert bounds.board_vertex_denominator(forced, optional, board, 2) == lcm(
+        *(x.denominator for point in reference for x in point))
 
 
 class TestLcmd:

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from time import perf_counter
 
 import jsonschema
 import pytest
@@ -67,6 +68,17 @@ class TestCount:
                             "--n", "30", "--budget", "1000", "--format", "json")
         assert code == 3
         assert json.loads(out)["error"]["type"] == "CapacityError"
+
+    def test_board_walk_budget_checked_before_walking(self, capsys):
+        start = perf_counter()
+        code, out = run_cli(capsys, "count", "--piece", "queen", "--q", "2",
+                            "--n", "1", "--board", "rect:3000,3000",
+                            "--budget", "1000", "--format", "json")
+        assert perf_counter() - start < 5
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "CapacityError"
+        assert error["context"]["cells"] == str(6001 * 6001)
 
     def test_usage_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "count", "--piece", "0,0", "--q", "2",

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
+from functools import cache
+from math import lcm
 
 import pytest
 
+from riderpoly import bounds
 from riderpoly.arrangement import alpha, intersection_semilattice, w_equal_flat
 from riderpoly.counting import METHOD_RECONSTRUCTION, count_series
 from riderpoly.errors import RiderPolyError
-from riderpoly.geometry import board_from_text
+from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
     board_count_qp,
@@ -18,6 +21,11 @@ from riderpoly.symbolic import (
 @pytest.fixture(scope="module")
 def queen_sl3(queen):
     return intersection_semilattice(queen, 3)
+
+
+@cache
+def _semilattice(piece, q):
+    return intersection_semilattice(piece_from_text(piece), q)
 
 
 class TestBoardCountQp:
@@ -44,6 +52,25 @@ class TestFlatDenominators:
     def test_coincidence_flat(self, queen_sl3, square):
         weq = w_equal_flat(queen_sl3, [0, 1])
         assert flat_polytope_denominator(weq, square) == 1
+
+    @pytest.mark.parametrize("board_text", [
+        "square", "poly:-1,0,0;0,-1,0;1,1,1", "rect:3/2,1",
+        "poly:-1,0,0;0,-1,0;2,1,3"])
+    @pytest.mark.parametrize("piece,q", [
+        ("queen", 2), ("queen", 3), ("nightrider", 2), ("nightrider", 3),
+        ("bishop", 3), ("rook", 3), ("semiqueen", 3),
+        ("-1,2;-2,1;1,1", 2), ("-1,2;-2,1;1,1", 3)])
+    def test_flatwise_lcm_is_inside_out_denominator(self, piece, q,
+                                                    board_text):
+        # Beck-Zaslavsky: the inside-out vertices are the vertices of
+        # board^q cut by each flat, so the full 2q-dimensional scan and
+        # the per-flat scans must give the same lcm.
+        sl = _semilattice(piece, q)
+        board = board_from_text(board_text)
+        flatwise = lcm(board.denominator, *(
+            flat_polytope_denominator(sl.flats[cls.representative], board)
+            for cls in sl.iso_classes))
+        assert flatwise == bounds.denominator(sl.ms, board, q)
 
 
 class TestAlphaQp:
