@@ -3,10 +3,11 @@
 For q pieces with move set M there is one hyperplane per (pair of pieces,
 move): the configurations where that pair lies on a common move line.
 Intersecting hyperplanes in all combinations yields the semilattice of
-flats; each flat carries its defining equations (exact rational row
-basis), Mobius value, and slope graph.  The inclusion-exclusion sum of
-Mobius-weighted lattice-point counts over all flats reconstructs the
-nonattacking count, independently of the brute-force enumerator.
+flats; each flat carries its defining equations (canonical primitive
+integer row basis), Mobius value, and slope graph.  The
+inclusion-exclusion sum of Mobius-weighted lattice-point counts over all
+flats reconstructs the nonattacking count, independently of the
+brute-force enumerator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .counting import DEFAULT_BUDGET, attack_keys
+from .counting import DEFAULT_BUDGET, attack_keys, check_board_walk
 from .errors import CapacityError
 from .geometry import BoardPolygon, MoveSet, interior_lattice_points
 from .linalg import canonical_int_rows, in_row_space
@@ -152,9 +153,7 @@ def intersection_semilattice(ms: MoveSet, q: int,
     while work:
         rows = rows_list[work.pop()]
         for hrow in hrows:
-            if rows and in_row_space(hrow, rows):
-                continue
-            if not rows and all(x == 0 for x in hrow):
+            if in_row_space(hrow, rows):
                 continue
             key = canonical_int_rows(list(rows) + [hrow])
             if key not in by_key:
@@ -175,7 +174,7 @@ def intersection_semilattice(ms: MoveSet, q: int,
         members = []
         edges = []
         for hid, hrow in enumerate(hrows):
-            if rows and in_row_space(hrow, rows):
+            if in_row_space(hrow, rows):
                 mask |= 1 << hid
                 members.append(hid)
                 h = hyps[hid]
@@ -383,6 +382,7 @@ def _alpha_direct(ms: MoveSet, flat: Flat, board: BoardPolygon, n: int,
     kappa = flat.kappa
     if kappa == 0:
         return 1
+    check_board_walk(board, n, budget)
     geo = _point_geometry(ms, board, n + 1)
     npts = len(geo.points)
     if npts == 0:
@@ -574,6 +574,7 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     Sums mu(U) * alpha(U; n) * N^(q - kappa(U)) over every flat; must equal
     q! times the enumerator's unlabelled count.
     """
+    check_board_walk(board, n, budget)
     geo = _point_geometry(sl.ms, board, n + 1)
     npts = len(geo.points)
     total = 0

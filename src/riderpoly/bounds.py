@@ -14,7 +14,7 @@ from math import comb, gcd, lcm
 
 from .errors import CapacityError, MoveSetError
 from .geometry import BoardPolygon, MoveSet
-from .linalg import bareiss_determinant
+from .linalg import bareiss_determinant, insert_row
 
 DEFAULT_SYSTEM_BUDGET = 10**7
 DEFAULT_MINOR_BUDGET = 10**6
@@ -86,45 +86,15 @@ def scan_vertices(forced, optional, ncols: int, feasible):
     Rows are (integer row, integer rhs) pairs.  ``forced`` rows take part
     in every system; the scan extends them with independent choices from
     ``optional`` until the rank reaches ``ncols``, sharing elimination work
-    along common prefixes.  Elimination is fraction-free Gauss-Jordan:
-    rows are combined by cross-multiplying and divided by their content,
-    with positive pivots.  A solution is the point (d, nums), d > 0, whose
-    coordinate i is nums[i] / d; it is yielded if ``feasible(point)``.
+    along common prefixes.  Each row is added by ``linalg.insert_row``,
+    the fraction-free Gauss-Jordan step.  A solution is the point
+    (d, nums), d > 0, whose coordinate i is nums[i] / d; it is yielded if
+    ``feasible(point)``.
     """
-
-    def insert(row, rhs, echelon):
-        r, b = list(row), rhs
-        for pivot_col, erow, erhs in echelon:
-            factor = r[pivot_col]
-            if factor:
-                e = erow[pivot_col]
-                r = [e * x - factor * y for x, y in zip(r, erow)]
-                b = e * b - factor * erhs
-        pivot = next((idx for idx, x in enumerate(r) if x), None)
-        if pivot is None:
-            return None
-        g = gcd(*r, b)
-        if r[pivot] < 0:
-            g = -g
-        r = [x // g for x in r]
-        b //= g
-        e = r[pivot]
-        updated = []
-        for pivot_col, erow, erhs in echelon:
-            factor = erow[pivot]
-            if factor:
-                erow = [e * x - factor * y for x, y in zip(erow, r)]
-                erhs = e * erhs - factor * b
-                g = gcd(*erow, erhs)
-                erow = [x // g for x in erow]
-                erhs //= g
-            updated.append((pivot_col, erow, erhs))
-        updated.append((pivot, r, b))
-        return updated
 
     base: list = []
     for row, rhs in forced:
-        extended = insert(row, rhs, base)
+        extended = insert_row(row, rhs, base)
         if extended is not None:
             base = extended
 
@@ -143,7 +113,7 @@ def scan_vertices(forced, optional, ncols: int, feasible):
             return
         for idx in range(start, len(optional) - need + 1):
             row, rhs = optional[idx]
-            extended = insert(row, rhs, echelon)
+            extended = insert_row(row, rhs, echelon)
             if extended is not None:
                 yield from rec(idx + 1, extended)
 

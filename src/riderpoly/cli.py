@@ -66,19 +66,27 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _check_fit_options(args) -> None:
+    if args.period is not None and args.period < 1:
+        raise RiderPolyError(f"--period must be at least 1, got {args.period}")
+    if args.degree is not None and args.degree < 0:
+        raise RiderPolyError(f"--degree must be at least 0, got {args.degree}")
+
+
 def _fit_table(args, ms, board, table):
-    degree = args.degree if args.degree else 2 * args.q
-    if args.period:
-        period = args.period
-    else:
+    degree = 2 * args.q if args.degree is None else args.degree
+    if args.period is None:
         period = qp.detect_period(table, degree, args.p_max,
                                   denominator_bound=args.denominator_bound,
                                   column=args.column)
+    else:
+        period = args.period
     fitted = qp.fit(table, period, degree, column=args.column)
     return fitted, period, degree
 
 
 def cmd_fit(args) -> int:
+    _check_fit_options(args)
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     n_from, n_to = _parse_range(args.n)
@@ -106,6 +114,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_types(args) -> int:
+    _check_fit_options(args)
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     n_from, n_to = _parse_range(args.n)

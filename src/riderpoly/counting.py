@@ -34,17 +34,25 @@ def attack_keys(ms: MoveSet, points) -> list[list[int]]:
     return [[m.d * x - m.c * y for (x, y) in points] for m in ms]
 
 
-def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
-    """The cells at size n, once the walk and the search fit the budget.
+def check_board_walk(board: BoardPolygon, n: int, budget: int) -> None:
+    """Refuse the cell walk at size n if its bounding box exceeds the budget.
 
-    The walk visits every point of the bounding box, so its size is
-    checked before the walk starts; the search envelope after it.
+    ``interior_lattice_points`` visits every point of the bounding box, so
+    every caller that walks the board under a budget checks here first.
     """
     cells = bounding_box_cells(board, n + 1)
     if cells > budget:
         raise CapacityError(
             f"board walk of {cells} cells exceeds budget {budget} at n={n}",
             n=n, cells=cells, budget=budget)
+
+
+def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
+    """The cells at size n, once the walk and the search fit the budget.
+
+    The walk is checked before it starts; the search envelope after it.
+    """
+    check_board_walk(board, n, budget)
     points = interior_lattice_points(board, n + 1)
     envelope = len(points) ** min(q, 3)
     if envelope > budget:

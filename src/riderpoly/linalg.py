@@ -1,13 +1,15 @@
-"""Exact rational linear algebra for the arrangement and bounds modules.
+"""Exact integer linear algebra for the arrangement and bounds modules.
 
-Everything works on plain Python ints and ``fractions.Fraction``; there is
-deliberately no floating point anywhere.
+All row reduction is one fraction-free Gauss-Jordan step, ``insert_row``:
+rows stay integer, are combined by cross-multiplying and are divided by
+their content.  Flat keys, row-space membership and inside-out vertices
+are all built on it; determinants use Bareiss.  There is no floating
+point and no ``Fraction`` here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def divisors(n: int) -> list[int]:
@@ -24,32 +26,43 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def rref(rows) -> list[list[Fraction]]:
-    """Reduced row echelon form over the rationals; zero rows dropped."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = mat[pivot_row][col]
-        mat[pivot_row] = [x / inv for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [row for row in mat[:pivot_row] if any(x != 0 for x in row)]
+def insert_row(row, rhs, echelon):
+    """Add the equation row . x = rhs to an echelon; None if the rank stays.
+
+    ``echelon`` is a list of (pivot_col, int row, int rhs), each row
+    primitive together with its rhs, with a positive pivot and zeros in
+    every other pivot column.  Returns a new list of that form with the
+    reduced equation appended, or None when the row reduces to zero (it
+    lies in the span; its rhs is then not checked).
+    """
+    r, b = list(row), rhs
+    for pivot_col, erow, erhs in echelon:
+        factor = r[pivot_col]
+        if factor:
+            e = erow[pivot_col]
+            r = [e * x - factor * y for x, y in zip(r, erow)]
+            b = e * b - factor * erhs
+    pivot = next((idx for idx, x in enumerate(r) if x), None)
+    if pivot is None:
+        return None
+    g = gcd(*r, b)
+    if r[pivot] < 0:
+        g = -g
+    r = [x // g for x in r]
+    b //= g
+    e = r[pivot]
+    updated = []
+    for pivot_col, erow, erhs in echelon:
+        factor = erow[pivot]
+        if factor:
+            erow = [e * x - factor * y for x, y in zip(erow, r)]
+            erhs = e * erhs - factor * b
+            g = gcd(*erow, erhs)
+            erow = [x // g for x in erow]
+            erhs //= g
+        updated.append((pivot_col, erow, erhs))
+    updated.append((pivot, r, b))
+    return updated
 
 
 def canonical_int_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -57,34 +70,19 @@ def canonical_int_rows(rows) -> tuple[tuple[int, ...], ...]:
 
     Two row sets get the same key exactly when they span the same space.
     """
-    reduced = rref(rows)
-    result = []
-    for row in reduced:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        ints = [int(x * mult) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        result.append(tuple(ints))
-    return tuple(result)
+    echelon: list = []
+    for row in rows:
+        extended = insert_row(row, 0, echelon)
+        if extended is not None:
+            echelon = extended
+    return tuple(tuple(erow) for _, erow, _ in sorted(echelon))
 
 
-def in_row_space(vec, rref_rows) -> bool:
-    """Whether ``vec`` lies in the span of rows already in echelon form."""
-    residual = [Fraction(x) for x in vec]
-    for row in rref_rows:
-        lead_col = next(i for i, x in enumerate(row) if x != 0)
-        if residual[lead_col] != 0:
-            factor = Fraction(residual[lead_col], row[lead_col])
-            residual = [a - factor * Fraction(b) for a, b in zip(residual, row)]
-    return all(x == 0 for x in residual)
+def in_row_space(vec, key_rows) -> bool:
+    """Whether ``vec`` lies in the span of a ``canonical_int_rows`` key."""
+    echelon = [(next(i for i, x in enumerate(row) if x), row, 0)
+               for row in key_rows]
+    return insert_row(vec, 0, echelon) is None
 
 
 def bareiss_determinant(rows) -> int:

@@ -26,6 +26,7 @@ from .counting import (
     DEFAULT_BUDGET,
     METHOD_RECONSTRUCTION,
     CountTable,
+    check_board_walk,
     count_nonattacking,
 )
 from .errors import RiderPolyError
@@ -54,15 +55,19 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
     return board_vertex_denominator(eqs, board_rows(board, kappa), board, kappa)
 
 
-def board_count_qp(board: BoardPolygon) -> qp.Quasipolynomial:
+def board_count_qp(board: BoardPolygon,
+                   budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
     """The cell count N as an exact quasipolynomial of n (degree 2).
 
     Fitted from counted values with period equal to the board denominator
-    and validated on one extra row per residue.
+    and validated on one extra row per residue.  Every walk is checked
+    against the budget before the first one starts.
     """
     period = board.denominator
-    values = {n: len(interior_lattice_points(board, n + 1))
-              for n in range(0, 5 * period)}
+    ns = range(0, 5 * period)
+    for n in ns:
+        check_board_walk(board, n, budget)
+    values = {n: len(interior_lattice_points(board, n + 1)) for n in ns}
     return qp.fit_values(values, period, 2).reduced()
 
 
@@ -109,7 +114,7 @@ def reconstruction_quasipolynomials(
     sum exactly), then checks degree and leading coefficient against the
     Ehrhart form before returning.
     """
-    n_qp = board_count_qp(board)
+    n_qp = board_count_qp(board, budget)
     total = qp.constant(0)
     for cls in sl.iso_classes:
         rep = sl.flats[cls.representative]

@@ -69,16 +69,22 @@ class TestCount:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "CapacityError"
 
-    def test_board_walk_budget_checked_before_walking(self, capsys):
+    # The reconstruction route's first walk is the board count fit at n=0.
+    @pytest.mark.parametrize("method, cells", [("brute", 6001 * 6001),
+                                               ("reconstruction", 3001 * 3001)],
+                             ids=["brute", "reconstruction"])
+    def test_board_walk_budget_checked_before_walking(self, capsys, method,
+                                                      cells):
         start = perf_counter()
         code, out = run_cli(capsys, "count", "--piece", "queen", "--q", "2",
                             "--n", "1", "--board", "rect:3000,3000",
-                            "--budget", "1000", "--format", "json")
+                            "--budget", "1000", "--format", "json",
+                            "--method", method)
         assert perf_counter() - start < 5
         assert code == 3
         error = json.loads(out)["error"]
         assert error["type"] == "CapacityError"
-        assert error["context"]["cells"] == str(6001 * 6001)
+        assert error["context"]["cells"] == str(cells)
 
     def test_usage_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "count", "--piece", "0,0", "--q", "2",
@@ -116,6 +122,29 @@ class TestFit:
         code, _ = run_cli(capsys, "fit", "--piece", "queen", "--q", "2",
                           "--n", "1:5")
         assert code == 2
+
+    def test_degree_zero_is_fitted_not_replaced(self, capsys):
+        code = main(["fit", "--piece", "queen", "--q", "2", "--n", "1:10",
+                     "--degree", "0", "--period", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: period 1 rejected")
+
+    @pytest.mark.parametrize("command", ["fit", "types"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--period", "0", "error: --period must be at least 1, got 0\n"),
+        ("--period", "-2", "error: --period must be at least 1, got -2\n"),
+        ("--degree", "-1", "error: --degree must be at least 0, got -1\n"),
+    ], ids=["period-zero", "period-negative", "degree-negative"])
+    def test_bad_period_or_degree_is_usage_error(self, capsys, command,
+                                                 option, value, message):
+        code = main([command, "--piece", "queen", "--q", "2", "--n", "1:10",
+                     option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
 
 
 class TestTypes:
