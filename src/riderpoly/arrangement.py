@@ -33,8 +33,8 @@ class Hyperplane:
 
 def build_move_arrangement(ms: MoveSet, q: int) -> list[Hyperplane]:
     """All C(q,2)*|M| move hyperplanes, pair-major in lexicographic order."""
-    if q < 2:
-        raise ValueError("an arrangement needs at least two pieces")
+    if q < 1:
+        raise ValueError("an arrangement needs at least one piece")
     return [Hyperplane(i, j, r)
             for i, j in combinations(range(q), 2)
             for r in range(len(ms))]

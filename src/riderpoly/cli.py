@@ -23,12 +23,15 @@ from .symbolic import reconstruction_series
 from .verify import run_paper_suite
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+def _parse_range(option: str, text: str) -> tuple[int, int]:
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return int(lo), int(hi)
+        value = int(text)
+        return value, value
+    except ValueError:
+        raise RiderPolyError(f"{option} must be n or a:b, got {text!r}") from None
 
 
 def _dump(data) -> str:
@@ -46,7 +49,7 @@ def _emit(args, data: dict, pretty_lines) -> None:
 def cmd_count(args) -> int:
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
-    n_from, n_to = _parse_range(args.n)
+    n_from, n_to = _parse_range("--n", args.n)
     if args.method == "reconstruction":
         sl = intersection_semilattice(ms, args.q)
         table = reconstruction_series(sl, board, n_from, n_to,
@@ -89,7 +92,7 @@ def cmd_fit(args) -> int:
     _check_fit_options(args)
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
-    n_from, n_to = _parse_range(args.n)
+    n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
     fitted, period, degree = _fit_table(args, ms, board, table)
@@ -115,20 +118,20 @@ def cmd_fit(args) -> int:
 
 def cmd_types(args) -> int:
     _check_fit_options(args)
+    c_from, c_to = (_parse_range("--census", args.census)
+                    if args.census else (1, 0))
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
-    n_from, n_to = _parse_range(args.n)
+    n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
     fitted, period, degree = _fit_table(args, ms, board, table)
     unlabelled_types = qp.types_count(fitted)
     census = []
-    if args.census:
-        c_from, c_to = _parse_range(args.census)
-        for n in range(c_from, c_to + 1):
-            lab, unlab = census_types(ms, board, args.q, n, budget=args.budget)
-            census.append({"n": n, "labelled_types": str(lab),
-                           "unlabelled_types": str(unlab)})
+    for n in range(c_from, c_to + 1):
+        lab, unlab = census_types(ms, board, args.q, n, budget=args.budget)
+        census.append({"n": n, "labelled_types": str(lab),
+                       "unlabelled_types": str(unlab)})
     data = {
         "piece": ms.label,
         "board": board.as_text(),
@@ -170,12 +173,15 @@ def cmd_mobius(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.observe_period_n is not None and args.observe_period_n < 1:
+        raise RiderPolyError(
+            f"--observe-period-n must be at least 1, got {args.observe_period_n}")
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     report = bounds_mod.bounds_report(
         ms, board, args.q, system_budget=args.system_budget,
         minor_budget=args.minor_budget)
-    if args.observe_period_n:
+    if args.observe_period_n is not None:
         table = count_series(ms, board, args.q, 1, args.observe_period_n,
                              budget=args.budget)
         report["period_observed"] = qp.detect_period(

@@ -21,7 +21,7 @@ from math import factorial
 
 from . import quasipoly as qp
 from .arrangement import Flat, Semilattice, alpha, decompose
-from .bounds import board_rows, board_vertex_denominator
+from .bounds import flat_polytope_denominator
 from .counting import (
     DEFAULT_BUDGET,
     METHOD_RECONSTRUCTION,
@@ -31,28 +31,6 @@ from .counting import (
 )
 from .errors import RiderPolyError
 from .geometry import BoardPolygon, interior_lattice_points
-
-
-def essential_rows(flat: Flat) -> list[tuple[int, ...]]:
-    """The flat's equations restricted to its involved pieces' coordinates."""
-    cols = []
-    for piece in flat.involved:
-        cols.extend((2 * piece, 2 * piece + 1))
-    return [tuple(row[c] for c in cols) for row in flat.rows]
-
-
-def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
-    """lcm of vertex-coordinate denominators of the flat's board polytope.
-
-    The polytope is (board^kappa) cut by the flat's equations; its
-    vertices are the solutions of the equations plus enough tight
-    boundary lines.  The alpha quasipolynomial's period divides this.
-    """
-    kappa = flat.kappa
-    if kappa == 0:
-        return 1
-    eqs = [(row, 0) for row in essential_rows(flat)]
-    return board_vertex_denominator(eqs, board_rows(board, kappa), board, kappa)
 
 
 def board_count_qp(board: BoardPolygon,

@@ -42,6 +42,9 @@ class TestArrangement:
         assert len(build_move_arrangement(queen, 2)) == 4
         assert len(build_move_arrangement(queen, 3)) == 12
         assert len(build_move_arrangement(bishop, 4)) == 12
+        assert build_move_arrangement(queen, 1) == []
+        with pytest.raises(ValueError):
+            build_move_arrangement(queen, 0)
 
     def test_hyperplane_count_formula(self, nightrider):
         for q in (2, 3, 4):

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +60,19 @@ class TestDenominator:
     def test_budget_abort(self, nightrider, square):
         with pytest.raises(CapacityError):
             bounds.denominator(nightrider, square, 4)
+
+    def test_budget_checked_before_closure(self, nightrider, square,
+                                           monkeypatch):
+        def closure(*args, **kwargs):
+            raise AssertionError("semilattice closure ran before the budget")
+
+        monkeypatch.setattr(bounds, "intersection_semilattice", closure)
+        with pytest.raises(CapacityError) as info:
+            bounds.denominator(nightrider, square, 4)
+        rows = bounds.grand_matrix(nightrider, square, 4)
+        assert info.value.context == {
+            "systems": comb(len(rows), 8),
+            "budget": bounds.DEFAULT_SYSTEM_BUDGET}
 
     def test_vertices_feasible_and_exact(self, queen, square):
         rows = bounds.grand_matrix(queen, square, 2)
@@ -130,6 +143,22 @@ def test_scan_matches_cramer_reference(board_text, moves, force_first):
     assert scanned == reference
     assert bounds.board_vertex_denominator(forced, optional, board, 2) == lcm(
         *(x.denominator for point in reference for x in point))
+
+
+@pytest.mark.parametrize("board_text", [
+    "square", "poly:-1,0,0;0,-1,0;1,1,1", "rect:3/2,1",
+    "poly:-1,0,0;0,-1,0;2,1,3"])
+@settings(max_examples=15, deadline=None)
+@given(moves=st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=4,
+                      unique=True),
+       q=st.integers(1, 3))
+def test_flatwise_denominator_matches_full_scan(board_text, moves, q):
+    board = board_from_text(board_text)
+    ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
+    # Reference: every nonsingular 2q x 2q system of the grand matrix.
+    full_scan = bounds.board_vertex_denominator(
+        [], bounds.grand_matrix(ms, board, q), board, q)
+    assert bounds.denominator(ms, board, q) == full_scan
 
 
 class TestLcmd:

@@ -158,6 +158,15 @@ class TestTypes:
         assert data["types"]["unlabelled"] == "6"
         assert data["census"][0]["unlabelled_types"] == "6"
 
+    def test_bad_census_is_usage_error_before_counting(self, capsys):
+        # --n 1:3 is too short to fit: the census must be rejected first.
+        code = main(["types", "--piece", "queen", "--q", "2", "--n", "1:3",
+                     "--census", "2:x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --census must be n or a:b, got '2:x'\n"
+
 
 class TestMobius:
     def test_queen_report(self, capsys):
@@ -169,6 +178,17 @@ class TestMobius:
         assert data["flat_count"] == 6
         mus = sorted(f["mobius"] for f in data["flats"])
         assert mus == [-1, -1, -1, -1, 1, 3]
+
+    def test_single_piece_report(self, capsys):
+        code, out = run_cli(capsys, "mobius", "--piece", "queen", "--q", "1",
+                            "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "semilattice.schema.json")
+        assert data["hyperplane_count"] == 0
+        assert data["flat_count"] == 1
+        assert data["flats"][0]["mobius"] == 1
+        assert data["flats"][0]["kappa"] == 0
 
 
 class TestBounds:
@@ -189,6 +209,26 @@ class TestBounds:
         data = json.loads(out)
         assert data["period_observed"] == 2
         assert data["denominator"] == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_observe_period_n_must_be_positive(self, capsys, value):
+        code = main(["bounds", "--piece", "queen", "--q", "2",
+                     "--observe-period-n", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --observe-period-n must be at least 1, got {value}\n")
+
+    @pytest.mark.parametrize("board, denominator", [("square", 1),
+                                                    ("rect:3/2,1", 2)])
+    def test_single_piece_denominator(self, capsys, board, denominator):
+        code, out = run_cli(capsys, "bounds", "--piece", "queen", "--q", "1",
+                            "--board", board, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "bounds.schema.json")
+        assert data["denominator"] == denominator
 
     def test_capacity_exit(self, capsys):
         code, out = run_cli(capsys, "bounds", "--piece", "nightrider",

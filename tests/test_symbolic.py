@@ -1,6 +1,4 @@
 from fractions import Fraction as F
-from functools import cache
-from math import lcm
 
 import pytest
 
@@ -21,11 +19,6 @@ from riderpoly.symbolic import (
 @pytest.fixture(scope="module")
 def queen_sl3(queen):
     return intersection_semilattice(queen, 3)
-
-
-@cache
-def _semilattice(piece, q):
-    return intersection_semilattice(piece_from_text(piece), q)
 
 
 class TestBoardCountQp:
@@ -63,14 +56,14 @@ class TestFlatDenominators:
     def test_flatwise_lcm_is_inside_out_denominator(self, piece, q,
                                                     board_text):
         # Beck-Zaslavsky: the inside-out vertices are the vertices of
-        # board^q cut by each flat, so the full 2q-dimensional scan and
-        # the per-flat scans must give the same lcm.
-        sl = _semilattice(piece, q)
+        # board^q cut by each flat, so the per-flat scans behind
+        # bounds.denominator and the full 2q-dimensional scan must give
+        # the same lcm.
+        ms = piece_from_text(piece)
         board = board_from_text(board_text)
-        flatwise = lcm(board.denominator, *(
-            flat_polytope_denominator(sl.flats[cls.representative], board)
-            for cls in sl.iso_classes))
-        assert flatwise == bounds.denominator(sl.ms, board, q)
+        full_scan = bounds.board_vertex_denominator(
+            [], bounds.grand_matrix(ms, board, q), board, q)
+        assert bounds.denominator(ms, board, q) == full_scan
 
 
 class TestAlphaQp:
@@ -109,6 +102,15 @@ class TestReconstructionSeries:
         assert labelled.degree == 6
         assert unlabelled.reduced().period == 2
         assert set(c[6] for c in unlabelled.constituents) == {F(1, 6)}
+
+    @pytest.mark.parametrize("board_text", [
+        "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3"])
+    def test_single_piece_matches_brute_force(self, queen, board_text):
+        # q = 1: the bottom flat alone, so the count is the cell count N.
+        board = board_from_text(board_text)
+        sl = intersection_semilattice(queen, 1)
+        table = reconstruction_series(sl, board, 1, 8)
+        assert table.rows == count_series(queen, board, 1, 1, 8).rows
 
     def test_rational_board_series(self, bishop):
         board = board_from_text("rect:5/2,1")
