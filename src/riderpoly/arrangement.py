@@ -4,7 +4,11 @@ For q pieces with move set M there is one hyperplane per (pair of pieces,
 move): the configurations where that pair lies on a common move line.
 Intersecting hyperplanes in all combinations yields the semilattice of
 flats; each flat carries its defining equations (canonical primitive
-integer row basis), Mobius value, and slope graph.  The
+integer row basis), its hyperplane mask, Mobius value, and slope graph.
+The closure eliminates each candidate once: a flat's stored echelon is
+extended by one ``linalg.insert_row`` per hyperplane outside the
+hyperplanes already covered, and the members of a new flat come from
+its mask, not from a second pass over every hyperplane.  The
 inclusion-exclusion sum of Mobius-weighted lattice-point counts over all
 flats reconstructs the nonattacking count, independently of the
 brute-force enumerator.
@@ -19,7 +23,7 @@ from itertools import combinations, permutations
 from .counting import DEFAULT_BUDGET, attack_keys, check_board_walk
 from .errors import CapacityError
 from .geometry import BoardPolygon, MoveSet, interior_lattice_points
-from .linalg import canonical_int_rows, in_row_space
+from .linalg import canonical_int_rows, insert_row
 
 
 @dataclass(frozen=True)
@@ -140,49 +144,61 @@ def intersection_semilattice(ms: MoveSet, q: int,
                              max_flats: int = 200_000) -> Semilattice:
     """Close the move arrangement under intersection; compute Mobius values.
 
-    Breadth-first closure: seed with the hyperplanes, repeatedly intersect
-    known flats with single hyperplanes, deduplicate by canonical row
-    space, stop at the fixpoint.
+    Each flat is kept as its ``linalg.insert_row`` echelon and its
+    hyperplane mask, the set of hyperplanes containing it.  A flat is
+    extended by one ``insert_row`` per hyperplane outside its mask; the
+    sorted extended echelon (the primitive RREF of ``canonical_int_rows``)
+    is the new flat's key.  A new key gets its mask completed by testing
+    the remaining hyperplanes against its echelon, and every hyperplane of
+    that mask then leads from the parent to the same flat, so none of them
+    is eliminated again for this parent.  Flats are ordered by codimension,
+    then by rows.
     """
     hyps = build_move_arrangement(ms, q)
     hrows = [hyperplane_row(h, ms, q) for h in hyps]
 
     by_key: dict[tuple, int] = {(): 0}
-    rows_list: list[tuple] = [()]
-    work = [0]
+    masks = [0]
+    work = [(0, [])]    # (flat id, echelon) of the flats not yet extended
     while work:
-        rows = rows_list[work.pop()]
-        for hrow in hrows:
-            if in_row_space(hrow, rows):
+        fid, echelon = work.pop()
+        covered = masks[fid]
+        for hid, hrow in enumerate(hrows):
+            if covered >> hid & 1:
                 continue
-            key = canonical_int_rows(list(rows) + [hrow])
-            if key not in by_key:
-                if len(rows_list) >= max_flats:
+            # Never None: the mask holds every hyperplane in the span.
+            extended = insert_row(hrow, 0, echelon)
+            key = tuple(tuple(erow) for _, erow, _ in sorted(extended))
+            new = by_key.get(key)
+            if new is None:
+                if len(masks) >= max_flats:
                     raise CapacityError(
                         f"semilattice closure exceeded {max_flats} flats",
                         max_flats=max_flats)
-                by_key[key] = len(rows_list)
-                rows_list.append(key)
-                work.append(by_key[key])
+                # A hyperplane already covered, or passed over above, leads
+                # from this parent to another flat, so it is not in this one.
+                mask = masks[fid] | 1 << hid
+                for other in range(hid + 1, len(hrows)):
+                    if (not covered >> other & 1
+                            and insert_row(hrows[other], 0, extended) is None):
+                        mask |= 1 << other
+                new = by_key[key] = len(masks)
+                masks.append(mask)
+                work.append((new, extended))
+            covered |= masks[new]
 
     # Deterministic flat order: by codimension, then by row content.
-    ordered = sorted(rows_list, key=lambda rows: (len(rows), rows))
-    by_key = {rows: fid for fid, rows in enumerate(ordered)}
+    ordered = sorted(by_key, key=lambda rows: (len(rows), rows))
     flats = []
     for fid, rows in enumerate(ordered):
-        mask = 0
-        members = []
-        edges = []
-        for hid, hrow in enumerate(hrows):
-            if in_row_space(hrow, rows):
-                mask |= 1 << hid
-                members.append(hid)
-                h = hyps[hid]
-                edges.append((h.i, h.j, h.move_index))
+        mask = masks[by_key[rows]]
+        members = tuple(hid for hid in range(len(hyps)) if mask >> hid & 1)
+        edges = tuple((hyps[hid].i, hyps[hid].j, hyps[hid].move_index)
+                      for hid in members)
         involved = sorted({c // 2 for row in rows
                            for c, x in enumerate(row) if x != 0})
-        flats.append(Flat(fid, rows, mask, tuple(members),
-                          tuple(involved), tuple(edges)))
+        flats.append(Flat(fid, rows, mask, members, tuple(involved), edges))
+    by_key = {rows: fid for fid, rows in enumerate(ordered)}
 
     sl = Semilattice(ms, q, hyps, flats, by_key)
     _compute_mobius(sl)

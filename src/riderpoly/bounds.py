@@ -138,6 +138,9 @@ def board_vertex_denominator(forced, optional, board: BoardPolygon,
     Scans ``forced`` and ``optional`` (row, rhs) pairs over the 2k
     coordinates of k pieces and keeps the points inside the closed
     polytope board^k, tested in integers as a*x + b*y <= c*d per piece.
+    Scanned over a flat's equations and ``board_rows``, or over the whole
+    ``grand_matrix``, it is the reference that the per-flat scans in the
+    flat's own coordinates are tested against.
     """
     ineqs = board.scaled_strict_rows(1)
 
@@ -163,15 +166,50 @@ def essential_rows(flat: Flat) -> list[tuple[int, ...]]:
 def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
     """lcm of vertex-coordinate denominators of the flat's board polytope.
 
-    The polytope is (board^kappa) cut by the flat's equations; its
-    vertices are the solutions of the equations plus enough tight
-    boundary lines.  The alpha quasipolynomial's period divides this.
+    The polytope is (board^kappa) cut by the flat's equations.  It is
+    scanned in the flat's own coordinates: the free (non-pivot) columns
+    of the flat's primitive RREF rows.  With L the lcm of the pivots,
+    every one of the 2 kappa coordinates is an integer row over the free
+    coordinates, divided by L.  Each piece's board rows are projected
+    through those rows, made primitive and deduplicated (pieces the flat
+    makes coincide share them), and every vertex is lifted back to all
+    2 kappa coordinates for its denominator.  The alpha
+    quasipolynomial's period divides this.
     """
     kappa = flat.kappa
     if kappa == 0:
         return 1
-    eqs = [(row, 0) for row in essential_rows(flat)]
-    return board_vertex_denominator(eqs, board_rows(board, kappa), board, kappa)
+    pivots = {next(c for c, x in enumerate(row) if x): row
+              for row in essential_rows(flat)}
+    free = [c for c in range(2 * kappa) if c not in pivots]
+    scale = lcm(*[row[p] for p, row in pivots.items()])
+    lift = []
+    for c in range(2 * kappa):
+        row = pivots.get(c)
+        if row is None:
+            lift.append([scale if f == c else 0 for f in free])
+        else:
+            lift.append([-row[f] * (scale // row[c]) for f in free])
+
+    projected = {}
+    for k in range(kappa):
+        for a, b, c in board.scaled_strict_rows(1):
+            row = [a * x + b * y for x, y in zip(lift[2 * k], lift[2 * k + 1])]
+            g = gcd(*row, c * scale)
+            projected[tuple(x // g for x in row), c * scale // g] = None
+    projected = list(projected)
+
+    def feasible(point) -> bool:
+        d, nums = point
+        return all(sum(a * x for a, x in zip(row, nums)) <= rhs * d
+                   for row, rhs in projected)
+
+    result = 1
+    for d, nums in scan_vertices([], projected, len(free), feasible):
+        dl = d * scale
+        result = lcm(result, dl // gcd(
+            dl, *[sum(a * x for a, x in zip(row, nums)) for row in lift]))
+    return result
 
 
 def denominator(ms: MoveSet, board: BoardPolygon, q: int,

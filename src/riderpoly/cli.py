@@ -120,6 +120,9 @@ def cmd_types(args) -> int:
     _check_fit_options(args)
     c_from, c_to = (_parse_range("--census", args.census)
                     if args.census else (1, 0))
+    if args.census and c_from > c_to:
+        raise RiderPolyError(
+            f"--census must be n or a:b with a <= b, got {args.census!r}")
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     n_from, n_to = _parse_range("--n", args.n)

@@ -2,9 +2,11 @@
 
 All row reduction is one fraction-free Gauss-Jordan step, ``insert_row``:
 rows stay integer, are combined by cross-multiplying and are divided by
-their content.  Flat keys, row-space membership and inside-out vertices
-are all built on it; determinants use Bareiss.  There is no floating
-point and no ``Fraction`` here.
+their content.  The semilattice closure extends each flat's stored
+echelon with it, the inside-out vertex scans solve their systems with it,
+and ``canonical_int_rows`` (the key of a row space, used to look a flat
+up by its rows) and ``in_row_space`` are built on it; determinants use
+Bareiss.  There is no floating point and no ``Fraction`` here.
 """
 
 from __future__ import annotations

@@ -3,8 +3,13 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riderpoly.arrangement import (
+    Flat,
+    Semilattice,
+    _compute_iso_classes,
+    _compute_mobius,
     alpha,
     build_move_arrangement,
     decompose,
@@ -19,7 +24,7 @@ from riderpoly.arrangement import (
 )
 from riderpoly.counting import count_nonattacking
 from riderpoly.geometry import interior_lattice_points, piece_from_text
-from riderpoly.linalg import canonical_int_rows
+from riderpoly.linalg import canonical_int_rows, in_row_space
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,77 @@ class TestSemilattice:
         for f in queen_sl3.flats:
             if f.codim == 1:
                 assert f.mobius == -1
+
+
+# Move directions with entries in [-2, 2], one per sign class: every
+# subset is a valid piece (coprime, pairwise non-parallel).
+DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+
+
+def reference_semilattice(ms, q):
+    """The closure that eliminates every candidate twice, as reference.
+
+    Each candidate is tested with ``in_row_space`` and then keyed by
+    ``canonical_int_rows`` from scratch; masks come from a final
+    ``in_row_space`` pass over every (flat, hyperplane) pair.
+    """
+    hyps = build_move_arrangement(ms, q)
+    hrows = [hyperplane_row(h, ms, q) for h in hyps]
+    found = {()}
+    work = [()]
+    while work:
+        rows = work.pop()
+        for hrow in hrows:
+            if in_row_space(hrow, rows):
+                continue
+            key = canonical_int_rows(list(rows) + [hrow])
+            if key not in found:
+                found.add(key)
+                work.append(key)
+    ordered = sorted(found, key=lambda rows: (len(rows), rows))
+    flats = []
+    for fid, rows in enumerate(ordered):
+        members = tuple(hid for hid, hrow in enumerate(hrows)
+                        if in_row_space(hrow, rows))
+        involved = sorted({c // 2 for row in rows
+                           for c, x in enumerate(row) if x != 0})
+        flats.append(Flat(fid, rows, sum(1 << hid for hid in members),
+                          members, tuple(involved),
+                          tuple((hyps[h].i, hyps[h].j, hyps[h].move_index)
+                                for h in members)))
+    sl = Semilattice(ms, q, hyps, flats,
+                     {rows: fid for fid, rows in enumerate(ordered)})
+    _compute_mobius(sl)
+    _compute_iso_classes(sl)
+    return sl
+
+
+def assert_same_semilattice(sl, ref):
+    fields = ("rows", "mask", "hyperplanes", "involved", "edges", "mobius",
+              "iso_key", "aut_order", "iso_class")
+    assert len(sl.flats) == len(ref.flats)
+    for flat, expected in zip(sl.flats, ref.flats):
+        assert ([getattr(flat, f) for f in fields]
+                == [getattr(expected, f) for f in fields]), flat
+    assert sl._by_key == ref._by_key
+    assert sl.iso_classes == ref.iso_classes
+
+
+class TestClosureParity:
+    @settings(max_examples=30, deadline=None)
+    @given(moves=st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=4,
+                          unique=True),
+           q=st.integers(1, 3))
+    def test_matches_double_elimination(self, moves, q):
+        ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
+        assert_same_semilattice(intersection_semilattice(ms, q),
+                                reference_semilattice(ms, q))
+
+    @pytest.mark.parametrize("name", ["queen", "rook", "nightrider"])
+    def test_matches_double_elimination_q4(self, name):
+        ms = piece_from_text(name)
+        assert_same_semilattice(intersection_semilattice(ms, 4),
+                                reference_semilattice(ms, 4))
 
 
 class TestNamedFlats:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import bounds
+from riderpoly.arrangement import intersection_semilattice
 from riderpoly.errors import CapacityError, MoveSetError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.linalg import bareiss_determinant
@@ -159,6 +160,29 @@ def test_flatwise_denominator_matches_full_scan(board_text, moves, q):
     full_scan = bounds.board_vertex_denominator(
         [], bounds.grand_matrix(ms, board, q), board, q)
     assert bounds.denominator(ms, board, q) == full_scan
+
+
+@pytest.mark.parametrize("board_text", [
+    "square", "poly:-1,0,0;0,-1,0;1,1,1", "rect:3/2,1",
+    "poly:-1,0,0;0,-1,0;2,1,3"])
+@settings(max_examples=10, deadline=None)
+@given(moves=st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=4,
+                      unique=True),
+       q=st.integers(2, 3))
+def test_flat_denominator_matches_scan_in_all_coordinates(board_text, moves,
+                                                          q):
+    # alpha_qp fits each class with its own value as the period, so every
+    # class must match, not only the lcm over the classes.
+    board = board_from_text(board_text)
+    ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
+    sl = intersection_semilattice(ms, q)
+    for cls in sl.iso_classes:
+        flat = sl.flats[cls.representative]
+        kappa = flat.kappa
+        reference = bounds.board_vertex_denominator(
+            [(row, 0) for row in bounds.essential_rows(flat)],
+            bounds.board_rows(board, kappa), board, kappa)
+        assert bounds.flat_polytope_denominator(flat, board) == reference, cls
 
 
 class TestLcmd:

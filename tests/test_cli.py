@@ -4,8 +4,10 @@ from time import perf_counter
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
-from riderpoly.cli import main
+from riderpoly.cli import _parse_range, main
+from riderpoly.errors import RiderPolyError
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +29,16 @@ def validate(instance, schema_name):
                 json.loads(item.read_text()), default_specification=DRAFT7)
             registry = registry.with_resource(item.name, resource)
     jsonschema.Draft7Validator(schema, registry=registry).validate(instance)
+
+
+@given(st.one_of(st.text(max_size=20),
+                 st.text(alphabet="0123456789-+_: ", max_size=12)))
+def test_parse_range_raises_only_input_errors(text):
+    try:
+        lo, hi = _parse_range("--n", text)
+    except (RiderPolyError, ValueError):
+        return
+    assert isinstance(lo, int) and isinstance(hi, int)
 
 
 class TestCount:
@@ -166,6 +178,21 @@ class TestTypes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: --census must be n or a:b, got '2:x'\n"
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_reversed_census_is_usage_error_before_counting(self, capsys, fmt):
+        code = main(["types", "--piece", "queen", "--q", "2", "--n", "1:3",
+                     "--census", "6:3", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        message = "--census must be n or a:b with a <= b, got '6:3'"
+        if fmt == "json":
+            assert json.loads(captured.out)["error"] == {
+                "type": "RiderPolyError", "message": message}
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 class TestMobius:

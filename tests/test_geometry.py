@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from riderpoly.errors import BoardError, MoveSetError
+from riderpoly.errors import BoardError, MoveSetError, RiderPolyError
 from riderpoly.geometry import (
     BoardPolygon,
     Move,
@@ -99,6 +99,40 @@ class TestBoard:
         for text in ("queen", "nightrider", "1,3;2,-1"):
             ms = piece_from_text(text)
             assert piece_from_text(ms.label).moves == ms.moves
+
+
+# Number-like fields, kept short: an exponent such as 1e9999999 is parsed
+# by Fraction into an integer of that many digits.
+NUMBER_TEXT = st.text(alphabet="0123456789-+/_.eE ", max_size=6)
+BOARD_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="0123456789-+/,;: rectpolysqua", max_size=30),
+    st.builds("rect:{},{}".format, NUMBER_TEXT, NUMBER_TEXT),
+    st.lists(st.tuples(NUMBER_TEXT, NUMBER_TEXT, NUMBER_TEXT), max_size=5).map(
+        lambda rows: "poly:" + ";".join(",".join(row) for row in rows)))
+PIECE_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.tuples(NUMBER_TEXT, NUMBER_TEXT), max_size=5).map(
+        lambda moves: ";".join(",".join(move) for move in moves)))
+
+
+class TestParserFuzz:
+    # The CLI maps these two exception types to exit code 2.
+    @settings(max_examples=300, deadline=None)
+    @given(BOARD_TEXT)
+    def test_board_text_raises_only_input_errors(self, text):
+        try:
+            board_from_text(text)
+        except (RiderPolyError, ValueError):
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(PIECE_TEXT)
+    def test_piece_text_raises_only_input_errors(self, text):
+        try:
+            piece_from_text(text)
+        except (RiderPolyError, ValueError):
+            pass
 
 
 class TestInteriorLatticePoints:
