@@ -10,19 +10,22 @@ extended by one ``linalg.insert_row`` per hyperplane outside the
 hyperplanes already covered, and the members of a new flat come from
 its mask, not from a second pass over every hyperplane.  The
 inclusion-exclusion sum of Mobius-weighted lattice-point counts over all
-flats reconstructs the nonattacking count, independently of the
-brute-force enumerator.
+flats (counted in ``flatcount``) reconstructs the nonattacking count,
+independently of the brute-force enumerator.  A flat's count is defined
+at every integer n: at negative n it is the signed count in a closed
+dilate (Ehrhart-Macdonald reciprocity), and at n = -1 the sum counts the
+configuration types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 
-from .counting import DEFAULT_BUDGET, attack_keys, check_board_walk
+from .counting import DEFAULT_BUDGET, check_board_walk
 from .errors import CapacityError
-from .geometry import BoardPolygon, MoveSet, interior_lattice_points
+from .flatcount import count_flat, geometry_at
+from .geometry import BoardPolygon, MoveSet
 from .linalg import canonical_int_rows, insert_row
 
 
@@ -354,31 +357,16 @@ def semilattice_report(sl: Semilattice) -> dict:
     }
 
 
-class _PointGeometry:
-    """Interior lattice points of one dilate plus per-move line buckets."""
-
-    __slots__ = ("points", "index", "keys", "buckets")
-
-    def __init__(self, ms: MoveSet, board: BoardPolygon, t: int):
-        self.points = interior_lattice_points(board, t)
-        self.index = {p: pid for pid, p in enumerate(self.points)}
-        self.keys = attack_keys(ms, self.points)
-        self.buckets = []
-        for col in self.keys:
-            buckets: dict[int, list[int]] = {}
-            for pid, key in enumerate(col):
-                buckets.setdefault(key, []).append(pid)
-            self.buckets.append(buckets)
-
-
-@lru_cache(maxsize=128)
-def _point_geometry(ms: MoveSet, board: BoardPolygon, t: int) -> _PointGeometry:
-    return _PointGeometry(ms, board, t)
-
-
 def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
           budget: int = DEFAULT_BUDGET) -> int:
-    """Number of kappa-tuples of board cells satisfying the flat's equations.
+    """The flat's lattice-point count at size n, for every integer n.
+
+    For n >= 0 it is the number of kappa-tuples of board cells (points
+    strictly inside the (n+1)-fold dilate) satisfying the flat's
+    equations.  The flat meets the interior of board^kappa, so by
+    Ehrhart-Macdonald reciprocity the same quasipolynomial at n = -m
+    (m >= 1) is (-1)^d L(m-1), with d = 2*kappa - codim and L(t) the
+    number of such tuples in the *closed* t-fold dilate (L(0) = 1).
 
     Enumerates over the essential coordinates only: pieces the flat does
     not involve contribute no factor here.  Isomorphic flats share one
@@ -388,199 +376,11 @@ def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
     cached = sl._alpha_cache.get(cache_key)
     if cached is not None:
         return cached
-    value = _alpha_direct(sl.ms, flat, board, n, budget)
+    value = count_flat(sl.ms, flat, board, n, budget)
+    if n < 0 and flat.codim % 2:
+        value = -value      # (-1)^d with d = 2*kappa - codim
     sl._alpha_cache[cache_key] = value
     return value
-
-
-def _alpha_direct(ms: MoveSet, flat: Flat, board: BoardPolygon, n: int,
-                  budget: int) -> int:
-    kappa = flat.kappa
-    if kappa == 0:
-        return 1
-    check_board_walk(board, n, budget)
-    geo = _point_geometry(ms, board, n + 1)
-    npts = len(geo.points)
-    if npts == 0:
-        return 0
-    if npts ** min(kappa, 3) > budget:
-        raise CapacityError(
-            f"alpha envelope {npts ** min(kappa, 3)} exceeds budget {budget}",
-            n=n, budget=budget)
-
-    local = {piece: a for a, piece in enumerate(flat.involved)}
-    pair_slopes: dict[tuple[int, int], set[int]] = {}
-    for i, j, r in flat.edges:
-        pair_slopes.setdefault((local[i], local[j]), set()).add(r)
-
-    # Pieces forced to coincide (two distinct slopes through one pair)
-    # collapse into one group; a closed flat always lists every move
-    # hyperplane it lies in, so direct pair inspection finds all of them.
-    parent = list(range(kappa))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), slopes in pair_slopes.items():
-        if len(slopes) >= 2:
-            parent[find(a)] = find(b)
-
-    group_edges: dict[tuple[int, int], int] = {}
-    for (a, b), slopes in pair_slopes.items():
-        ga, gb = find(a), find(b)
-        if ga == gb:
-            continue
-        key = (min(ga, gb), max(ga, gb))
-        move = next(iter(slopes))
-        prev = group_edges.get(key)
-        if prev is not None and prev != move:
-            raise RuntimeError("closure invariant violated: multi-slope pair "
-                               "between non-coincident groups")
-        group_edges[key] = move
-
-    groups = sorted({find(a) for a in range(kappa)})
-    adjacency = {g: [] for g in groups}
-    for (ga, gb), move in group_edges.items():
-        adjacency[ga].append((gb, move))
-        adjacency[gb].append((ga, move))
-
-    seen: set[int] = set()
-    result = 1
-    for start in groups:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            comp.append(v)
-            stack.extend(u for u, _ in adjacency[v] if u not in seen)
-        comp_edges = {key: move for key, move in group_edges.items()
-                      if key[0] in comp}
-        result *= _count_component(ms, geo, comp, comp_edges, adjacency)
-        if result == 0:
-            return 0
-    return result
-
-
-def _count_component(ms, geo: _PointGeometry, nodes, edges, adjacency) -> int:
-    if len(edges) == len(nodes) - 1:
-        return _count_tree(ms, geo, nodes, adjacency)
-    return _count_generic(ms, geo, nodes, edges)
-
-
-def _count_tree(ms, geo: _PointGeometry, nodes, adjacency) -> int:
-    """Sum-product over a tree of line constraints, O(edges * cells).
-
-    value[v][p] = number of ways to place v's subtree with v at cell p;
-    passing to the parent only needs per-line sums of that array.
-    """
-    npts = len(geo.points)
-    root = nodes[0]
-    order = []
-    parent_of = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u, move in adjacency[v]:
-            if u not in parent_of:
-                parent_of[u] = (v, move)
-                stack.append(u)
-    value = {v: None for v in order}
-    for v in reversed(order):
-        arr = None
-        for u, move in adjacency[v]:
-            if u == (parent_of[v][0] if parent_of[v] else None):
-                continue
-            sums = {key: sum(value[u][pid] for pid in pids)
-                    for key, pids in geo.buckets[move].items()}
-            col = geo.keys[move]
-            if arr is None:
-                arr = [sums[col[p]] for p in range(npts)]
-            else:
-                arr = [arr[p] * sums[col[p]] for p in range(npts)]
-        value[v] = arr if arr is not None else [1] * npts
-    return sum(value[root])
-
-
-def _count_generic(ms, geo: _PointGeometry, nodes, edges) -> int:
-    """Place groups one at a time; a group on two known lines is determined."""
-    neighbors = {v: [] for v in nodes}
-    for (a, b), move in edges.items():
-        neighbors[a].append((b, move))
-        neighbors[b].append((a, move))
-    order = [max(nodes, key=lambda v: len(neighbors[v]))]
-    placed = {order[0]}
-    while len(order) < len(nodes):
-        nxt = max((v for v in nodes if v not in placed),
-                  key=lambda v: sum(1 for u, _ in neighbors[v] if u in placed))
-        order.append(nxt)
-        placed.add(nxt)
-    constraints = []
-    pos_in_order = {v: k for k, v in enumerate(order)}
-    for v in order:
-        constraints.append([(pos_in_order[u], move)
-                            for u, move in neighbors[v]
-                            if pos_in_order[u] < pos_in_order[v]])
-
-    npts = len(geo.points)
-    keys = geo.keys
-    buckets = geo.buckets
-    index = geo.index
-    points = geo.points
-    moves = ms.moves
-    placement = [0] * len(order)
-
-    def extend(k: int) -> int:
-        if k == len(order):
-            return 1
-        cons = constraints[k]
-        total = 0
-        if not cons:
-            for pid in range(npts):
-                placement[k] = pid
-                total += extend(k + 1)
-            return total
-        s1, r1 = cons[0]
-        k1 = keys[r1][placement[s1]]
-        second = None
-        for slot, move in cons[1:]:
-            if move == r1:
-                if keys[move][placement[slot]] != k1:
-                    return 0  # two parallel but distinct lines
-            elif second is None:
-                second = (slot, move)
-        if second is None:
-            # every constraint is the same line through the placed pieces
-            for pid in buckets[r1].get(k1, ()):
-                placement[k] = pid
-                total += extend(k + 1)
-            return total
-        s2, r2 = second
-        m1, m2 = moves[r1], moves[r2]
-        k2 = keys[r2][placement[s2]]
-        det = m1.d * m2.c - m2.d * m1.c
-        xn = m2.c * k1 - m1.c * k2
-        yn = m2.d * k1 - m1.d * k2
-        if xn % det or yn % det:
-            return 0
-        pid = index.get((xn // det, yn // det))
-        if pid is None:
-            return 0
-        for slot, move in cons:
-            if keys[move][pid] != keys[move][placement[slot]]:
-                return 0
-        placement[k] = pid
-        return extend(k + 1)
-
-    return extend(0)
 
 
 def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
@@ -588,10 +388,12 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     """Labelled nonattacking count by Mobius inclusion-exclusion over flats.
 
     Sums mu(U) * alpha(U; n) * N^(q - kappa(U)) over every flat; must equal
-    q! times the enumerator's unlabelled count.
+    q! times the enumerator's unlabelled count.  A negative n gives the
+    counting quasipolynomial's value there (see ``alpha``): at n = -1 it is
+    sum mu(U) * (-1)^codim(U), q! times the number of configuration types.
     """
     check_board_walk(board, n, budget)
-    geo = _point_geometry(sl.ms, board, n + 1)
+    geo = geometry_at(sl.ms, board, n)
     npts = len(geo.points)
     total = 0
     for flat in sl.flats:

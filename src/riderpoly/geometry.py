@@ -4,7 +4,8 @@ A piece is a set of basic moves: coprime, pairwise non-parallel integer
 vectors.  A board is a bounded convex polygon with rational data given by
 boundary inequalities ``a*x + b*y <= beta``; the playable cells at size
 parameter ``n`` are the integer points strictly inside the ``(n+1)``-fold
-dilate.
+dilate.  The integer points of the closed dilates give the flat counts at
+negative size parameters (see ``arrangement.alpha``).
 
 Everything is exact: plain integers for moves, lattice points and attack
 tests, ``fractions.Fraction`` for board geometry.  All values are
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BoardError, MoveSetError
@@ -139,7 +140,7 @@ class BoardPolygon:
     inequality supports a facet.
     """
 
-    __slots__ = ("inequalities", "vertices", "_text")
+    __slots__ = ("inequalities", "vertices", "_text", "_extremes", "_hash")
 
     def __init__(self, inequalities, text: str | None = None):
         normalized = []
@@ -153,8 +154,15 @@ class BoardPolygon:
             g = gcd(int(a), int(b))
             normalized.append((int(a) // g, int(b) // g, beta / g))
         self.inequalities = tuple(normalized)
+        # Boards key the per-size caches; hashing Fractions is not cheap.
+        self._hash = hash(self.inequalities)
         self.vertices = self._compute_vertices()
         self._text = text
+        xs = [x for x, _ in self.vertices]
+        ys = [y for _, y in self.vertices]
+        # (numerator, denominator) of min x, max x, min y, max y
+        self._extremes = tuple((v.numerator, v.denominator)
+                               for v in (min(xs), max(xs), min(ys), max(ys)))
 
     def _compute_vertices(self):
         ineqs = self.inequalities
@@ -228,7 +236,7 @@ class BoardPolygon:
         return isinstance(other, BoardPolygon) and self.inequalities == other.inequalities
 
     def __hash__(self):
-        return hash(self.inequalities)
+        return self._hash
 
     def __repr__(self):
         return f"BoardPolygon({self.as_text()!r})"
@@ -267,7 +275,14 @@ def board_from_text(text: str) -> BoardPolygon:
     raise BoardError(f"unknown board syntax: {text!r}")
 
 
+# Longest numeral accepted in a board.  Fraction would expand an exponent
+# or an over-long numeral into a huge integer before any check.
+_MAX_NUMERAL_LENGTH = 40
+
+
 def _parse_fraction(text: str) -> Fraction:
+    if len(text.strip()) > _MAX_NUMERAL_LENGTH or "e" in text.lower():
+        raise BoardError(f"bad rational number: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -309,11 +324,10 @@ def _shoelace(vertices) -> Fraction:
 
 def _lattice_box(board: BoardPolygon, t: int) -> tuple[int, int, int, int]:
     """(x_lo, x_hi, y_lo, y_hi): the integer bounding box of the t-fold dilate."""
-    if t < 1:
-        raise ValueError("dilation factor must be a positive integer")
-    xs = [t * v[0] for v in board.vertices]
-    ys = [t * v[1] for v in board.vertices]
-    return ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys))
+    if t < 0:
+        raise ValueError("dilation factor must be a nonnegative integer")
+    (xa, xb), (xc, xd), (ya, yb), (yc, yd) = board._extremes
+    return -(-t * xa // xb), t * xc // xd, -(-t * ya // yb), t * yc // yd
 
 
 def bounding_box_cells(board: BoardPolygon, t: int) -> int:
@@ -322,16 +336,31 @@ def bounding_box_cells(board: BoardPolygon, t: int) -> int:
     return max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
 
 
-def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
-    """Integer points strictly inside the t-fold dilate, in lexicographic order."""
+def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
     x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
-    rows = board.scaled_strict_rows(t)
+    # a*x + b*y < c, or <= c for the closed dilate, as a*x + b*y <= bound
+    rows = [(a, b, c - strict) for a, b, c in board.scaled_strict_rows(t)]
     points = []
     for x in range(x_lo, x_hi + 1):
         for y in range(y_lo, y_hi + 1):
-            if all(a * x + b * y < c for a, b, c in rows):
+            if all(a * x + b * y <= c for a, b, c in rows):
                 points.append((x, y))
     return points
+
+
+def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
+    """Integer points strictly inside the t-fold dilate, in lexicographic order."""
+    if t < 1:
+        raise ValueError("dilation factor must be a positive integer")
+    return _lattice_points(board, t, True)
+
+
+def closed_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
+    """Integer points of the closed t-fold dilate (t >= 0), in lexicographic order.
+
+    The 0-fold dilate is the origin alone.
+    """
+    return _lattice_points(board, t, False)
 
 
 def attacks(zi: Point, zj: Point, ms: MoveSet) -> bool:

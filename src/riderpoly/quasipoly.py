@@ -1,10 +1,13 @@
 """Exact quasipolynomial interpolation, evaluation, and coefficients.
 
 A quasipolynomial of period p is p polynomials, one per residue of n
-mod p; fitting Lagrange-interpolates each residue class over the
-rationals and then *validates* on held-out rows, so a successful fit is a
-falsifiable statement about the table, never just a curve through points.
-All arithmetic is exact; there is no floating point in this module.
+mod p; fitting interpolates each residue class exactly and then
+*validates* on held-out rows, so a successful fit is a falsifiable
+statement about the table, never just a curve through points.  The
+interpolation solves the Vandermonde system by fraction-free integer
+elimination (``linalg.insert_row``); ``Fraction`` appears only in the
+final coefficients.  All arithmetic is exact; there is no floating point
+in this module.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from .errors import (
     PeriodNotFoundError,
     ValidationMismatchError,
 )
-from .linalg import divisors
+from .linalg import divisors, insert_row
 
 
-def poly_eval(coeffs, x) -> Fraction:
-    """Evaluate ascending-power coefficients at x (Horner)."""
-    total = Fraction(0)
+def poly_eval(coeffs, x):
+    """Evaluate ascending-power coefficients at x (Horner), exactly.
+
+    Integer coefficients give an int; ``Fraction`` ones give a ``Fraction``.
+    """
+    total = 0
     for c in reversed(coeffs):
         total = total * x + c
     return total
@@ -46,20 +52,33 @@ def poly_mul(a, b):
     return tuple(out)
 
 
-def _lagrange(points):
+def _interpolate_scaled(points) -> tuple[list[int], int]:
+    """Integer coefficients and a common denominator of the interpolant.
+
+    Through (x, y) pairs with distinct integer x and exact rational y:
+    returns (a, scale) with the polynomial sum(a[j] * x^j) / scale.  The
+    values are scaled by their common denominator and the Vandermonde
+    system is solved by ``insert_row``; with full rank every echelon row
+    is e * u_j = rhs, one per coefficient.
+    """
+    size = len(points)
+    den = lcm(*(y.denominator for _, y in points))
+    echelon: list = []
+    for x, y in points:
+        row = [x ** j for j in range(size)]
+        echelon = insert_row(row, y.numerator * (den // y.denominator),
+                             echelon)
+    pivots = lcm(*(erow[col] for col, erow, _ in echelon))
+    coeffs = [0] * size
+    for col, erow, rhs in echelon:
+        coeffs[col] = rhs * (pivots // erow[col])
+    return coeffs, pivots * den
+
+
+def interpolate(points) -> tuple[Fraction, ...]:
     """Interpolating polynomial through (x, y) pairs, ascending coefficients."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                basis = poly_mul(basis, (Fraction(-xj), Fraction(1)))
-                denom *= xi - xj
-        weight = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += weight * c
-    return tuple(coeffs)
+    coeffs, scale = _interpolate_scaled(points)
+    return tuple(Fraction(a, scale) for a in coeffs)
 
 
 @dataclass(frozen=True)
@@ -177,10 +196,14 @@ def from_polynomial(coeffs) -> Quasipolynomial:
 def fit_values(values, period: int, degree: int) -> Quasipolynomial:
     """Interpolate each residue class exactly and validate on held-out rows.
 
-    ``values`` maps n to an exact value.  Each residue class mod ``period``
-    must supply at least degree + 2 rows: degree + 1 interpolation nodes
-    plus at least one validation row.  Any validation mismatch raises,
-    with the residuals attached.
+    ``values`` maps integer n (negative n too) to an exact value, an int
+    or a ``Fraction``.  Each residue class mod ``period`` must supply at
+    least degree + 2 rows: its degree + 1 smallest n are the
+    interpolation nodes and every larger n is a validation row.  Each
+    class is solved in integers (values scaled by their common
+    denominator) and checked against its held-out rows in integers; only
+    the returned coefficients are ``Fraction``.  Any validation mismatch
+    raises, with the residuals (value, predicted) attached.
     """
     constituents = []
     for k in range(period):
@@ -189,22 +212,21 @@ def fit_values(values, period: int, degree: int) -> Quasipolynomial:
             raise InsufficientDataError(
                 f"residue {k} mod {period}: need {degree + 2} rows "
                 f"({degree + 1} nodes + validation), have {len(ns)}")
-        nodes = ns[:degree + 1]
-        coeffs = _lagrange([(n, values[n]) for n in nodes])
+        coeffs, scale = _interpolate_scaled(
+            [(n, values[n]) for n in ns[:degree + 1]])
         residuals = {}
         for n in ns[degree + 1:]:
+            value = values[n]
             predicted = poly_eval(coeffs, n)
-            if predicted != values[n]:
-                residuals[n] = (values[n], predicted)
+            if predicted * value.denominator != value.numerator * scale:
+                residuals[n] = (value, Fraction(predicted, scale))
         if residuals:
             raise ValidationMismatchError(
                 f"period {period} rejected: {len(residuals)} held-out "
                 f"mismatches in residue {k}", residuals=residuals)
-        constituents.append(coeffs)
-    padded = tuple(
-        tuple(c[i] if i < len(c) else Fraction(0) for i in range(degree + 1))
-        for c in constituents)
-    return Quasipolynomial(degree=degree, period=period, constituents=padded)
+        constituents.append(tuple(Fraction(a, scale) for a in coeffs))
+    return Quasipolynomial(degree=degree, period=period,
+                           constituents=tuple(constituents))
 
 
 def fit(table, period: int, degree: int,

@@ -6,7 +6,9 @@ module assembles the *whole quasipolynomial* instead: each flat class's
 lattice-point count alpha is itself an Ehrhart quasipolynomial of known
 degree whose period divides the flat polytope's vertex denominator, so it
 can be fitted exactly from small boards (with held-out validation) and
-then evaluated anywhere.  That turns the Mobius sum into exact
+then evaluated anywhere.  By Ehrhart-Macdonald reciprocity the closed
+dilates supply its values at negative n, so the samples sit in a window
+around n = 0.  That turns the Mobius sum into exact
 quasipolynomial algebra and makes count tables reachable that brute force
 cannot touch (the q = 4 table on the square board, for instance).
 
@@ -53,10 +55,14 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
              budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
     """The flat's alpha as an exact, validated quasipolynomial of n.
 
-    Disconnected flats multiply over their slope-graph components;
-    connected flats are fitted from directly enumerated values at period
-    = the flat polytope denominator, one held-out row per residue.
-    Isomorphic flats share one cached fit.
+    Disconnected flats multiply over their slope-graph components.  A
+    connected flat of dimension d = 2*kappa - codim is fitted at period p
+    = its flat polytope denominator from d + 2 values per residue, taken
+    from a window of p*(d + 2) sizes around 0: ``alpha`` at negative n
+    counts the closed dilates (Ehrhart-Macdonald reciprocity), so the
+    largest |n| sampled is about p*(d + 2)/2 instead of p*(d + 2).  Each
+    residue's largest sample, at n >= 0, is its held-out row.  Isomorphic
+    flats share one cached fit.
     """
     cache = sl._alpha_qp_cache
     key = (flat.iso_key, board)
@@ -75,8 +81,9 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
         else:
             degree = 2 * flat.kappa - flat.codim
             period = flat_polytope_denominator(flat, board)
+            span = period * (degree + 2)
             values = {n: alpha(sl, flat, board, n, budget)
-                      for n in range(0, period * (degree + 2))}
+                      for n in range(-(span // 2), span - span // 2)}
             value = qp.fit_values(values, period, degree).reduced()
     cache[key] = value
     return value

@@ -288,7 +288,7 @@ def check_coefficients(suite: PaperSuite) -> list[CheckResult]:
 
     # Cross-q: q! gamma_1 for queens at q = 2, 3, 4 through one quadratic.
     points = [(q, factorial(q) * gamma1[("queen", q)]) for q in (2, 3, 4)]
-    quad = qp._lagrange(points)
+    quad = qp.interpolate(points)
     ok = all(qp.poly_eval(quad, q) == v for q, v in points) and len(quad) <= 3
     results.append(CheckResult(
         "8. q!*gamma_1 (queens, q=2..4) fits one quadratic in q "

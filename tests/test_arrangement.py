@@ -22,8 +22,13 @@ from riderpoly.arrangement import (
     w_equal_flat,
     w_slope_flat,
 )
-from riderpoly.counting import count_nonattacking
-from riderpoly.geometry import interior_lattice_points, piece_from_text
+from riderpoly.counting import attack_keys, count_nonattacking
+from riderpoly.geometry import (
+    board_from_text,
+    closed_lattice_points,
+    interior_lattice_points,
+    piece_from_text,
+)
 from riderpoly.linalg import canonical_int_rows, in_row_space
 
 
@@ -35,6 +40,11 @@ def queen_sl2(queen):
 @pytest.fixture(scope="module")
 def queen_sl3(queen):
     return intersection_semilattice(queen, 3)
+
+
+@pytest.fixture(scope="module")
+def queen_sl4(queen):
+    return intersection_semilattice(queen, 4)
 
 
 @pytest.fixture(scope="module")
@@ -350,3 +360,133 @@ class TestReconstruction:
         for n in range(1, 9):
             lab, _ = count_nonattacking(ms, square, q, n)
             assert reconstruct_count(sl, square, n) == lab
+
+
+# The four boards of the denominator tests.
+DENOMINATOR_BOARDS = ("square", "poly:-1,0,0;0,-1,0;1,1,1", "rect:3/2,1",
+                      "poly:-1,0,0;0,-1,0;2,1,3")
+
+
+def alpha_by_cells(ms, flat, points):
+    """Reference alpha: place the flat's pieces one cell at a time.
+
+    A piece with an edge to an earlier piece runs over that edge's line
+    bucket, any other over every cell; every edge is checked by its keys.
+    """
+    keys = attack_keys(ms, points)
+    buckets = []
+    for col in keys:
+        by_key = {}
+        for pid, key in enumerate(col):
+            by_key.setdefault(key, []).append(pid)
+        buckets.append(by_key)
+    local = {piece: a for a, piece in enumerate(flat.involved)}
+    earlier = [[] for _ in flat.involved]
+    for i, j, r in flat.edges:
+        a, b = sorted((local[i], local[j]))
+        earlier[b].append((a, r))
+    placement = [0] * len(flat.involved)
+
+    def place(a):
+        if a == len(placement):
+            return 1
+        if earlier[a]:
+            b, r = earlier[a][0]
+            candidates = buckets[r][keys[r][placement[b]]]
+        else:
+            candidates = range(len(points))
+        total = 0
+        for pid in candidates:
+            if all(keys[r][pid] == keys[r][placement[b]]
+                   for b, r in earlier[a]):
+                placement[a] = pid
+                total += place(a + 1)
+        return total
+
+    return place(0)
+
+
+class TestAlphaParity:
+    # Custom pieces (coprime, pairwise non-parallel moves) at q = 3 and 4
+    # on the four denominator boards; q = 4 keeps to three moves, whose
+    # closures stay under a second.
+    @settings(max_examples=12, deadline=None)
+    @given(moves=st.lists(st.sampled_from(DIRECTIONS), min_size=2, max_size=4,
+                          unique=True),
+           q=st.integers(3, 4),
+           board_text=st.sampled_from(DENOMINATOR_BOARDS))
+    def test_matches_cell_by_cell_count(self, moves, q, board_text):
+        if q == 4:
+            moves = moves[:3]
+        ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
+        board = board_from_text(board_text)
+        sl = intersection_semilattice(ms, q)
+        for cls in sl.iso_classes:
+            flat = sl.flats[cls.representative]
+            for n in range(0, 4):
+                points = interior_lattice_points(board, n + 1)
+                assert (alpha(sl, flat, board, n)
+                        == alpha_by_cells(ms, flat, points)), (cls.id, n)
+            # Ehrhart-Macdonald reciprocity: alpha(-m) is the signed count
+            # in the closed (m-1)-fold dilate.
+            for m in range(1, 4):
+                points = closed_lattice_points(board, m - 1)
+                assert (alpha(sl, flat, board, -m)
+                        == (-1) ** flat.codim
+                        * alpha_by_cells(ms, flat, points)), (cls.id, -m)
+
+    def test_closed_form_cycles(self, queen, queen_sl4, square):
+        # Queen q=4 flats whose slope graph is a 4-cycle of groups are the
+        # ones the last-two-groups closed form counts.
+        sl = queen_sl4
+        cycles = [sl.flats[c.representative] for c in sl.iso_classes
+                  if c.kappa == 4 and c.codim == 4
+                  and len(decompose(sl, sl.flats[c.representative])) == 1]
+        assert cycles
+        for flat in cycles:
+            for n in (3, 5):
+                points = interior_lattice_points(square, n + 1)
+                assert alpha(sl, flat, square, n) == alpha_by_cells(
+                    queen, flat, points)
+
+
+class TestTypeCount:
+    """sum_U mu(U) (-1)^codim(U) = q! * types: the labelled count at n = -1."""
+
+    @staticmethod
+    def signed_sum(sl):
+        return sum(flat.mobius * (-1) ** flat.codim for flat in sl.flats)
+
+    @pytest.mark.parametrize("name,q,board_text,period,n_to", [
+        ("queen", 2, "square", 1, 12),
+        ("queen", 3, "square", 2, 20),
+        ("bishop", 3, "square", 2, 16),
+        ("bishop", 3, "poly:-1,0,0;0,-1,0;1,1,1", 2, 20),
+        ("nightrider", 2, "square", 2, 14),
+    ])
+    def test_equals_fit_route_types(self, name, q, board_text, period, n_to):
+        from riderpoly import quasipoly as qp
+        from riderpoly.counting import count_series
+        ms = piece_from_text(name)
+        board = board_from_text(board_text)
+        sl = intersection_semilattice(ms, q)
+        table = count_series(ms, board, q, 1, n_to)
+        types = qp.types_count(qp.fit(table, period, 2 * q))
+        assert self.signed_sum(sl) == factorial(q) * types
+        assert reconstruct_count(sl, board, -1) == factorial(q) * types
+
+    def test_seeded_piece_equals_census(self, square):
+        # Its period is 12, so a degree-6 fit needs 96 brute-force rows;
+        # the type census realises all 17 types at n = 4.
+        from riderpoly.counting import census_types
+        ms = piece_from_text("-1,2;-2,1;1,1")
+        sl = intersection_semilattice(ms, 3)
+        labelled, unlabelled = census_types(ms, square, 3, 4)
+        assert unlabelled == 17
+        assert self.signed_sum(sl) == labelled == factorial(3) * unlabelled
+        assert reconstruct_count(sl, square, -1) == labelled
+
+    def test_queen_q4(self, queen_sl4, square):
+        sl = queen_sl4
+        assert self.signed_sum(sl) == 574 * factorial(4)
+        assert reconstruct_count(sl, square, -1) == 574 * factorial(4)

@@ -113,6 +113,18 @@ class TestCount:
         assert err == "error: bad rational number: '1/0'\n"
 
 
+    @pytest.mark.parametrize("number", ["1e9999999", "1E5", "1" * 41])
+    def test_exponent_or_long_numeral_is_usage_error(self, capsys, number):
+        # Fraction would expand these into huge integers before any check.
+        start = perf_counter()
+        code = main(["count", "--piece", "queen", "--q", "2", "--n", "3",
+                     "--board", f"rect:{number},1"])
+        err = capsys.readouterr().err
+        assert perf_counter() - start < 5
+        assert code == 2
+        assert err == f"error: bad rational number: {number!r}\n"
+
+
 class TestFit:
     def test_nightrider_fit_json(self, capsys):
         code, out = run_cli(capsys, "fit", "--piece", "nightrider", "--q", "2",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from riderpoly.geometry import (
     BoardPolygon,
     Move,
     attacks,
+    bounding_box_cells,
     board_from_text,
+    closed_lattice_points,
     interior_lattice_points,
     piece_from_text,
     reachable_by_two_moves,
@@ -165,6 +168,47 @@ class TestInteriorLatticePoints:
     def test_lexicographic_order(self, square):
         points = interior_lattice_points(square, 6)
         assert points == sorted(points)
+
+
+class TestClosedLatticePoints:
+    @pytest.mark.parametrize("t", range(0, 8))
+    def test_square_count(self, square, t):
+        assert len(closed_lattice_points(square, t)) == (t + 1) ** 2
+
+    def test_zero_dilate_is_origin(self):
+        board = board_from_text("poly:-1,0,-1/3;0,-1,-1/3;1,1,1")
+        assert closed_lattice_points(board, 0) == [(0, 0)]
+        assert closed_lattice_points(board, 1) == []
+
+    @pytest.mark.parametrize("board_text", [
+        "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3",
+        "poly:-1,0,1/2;0,-1,2/3;3,1,5/2"])
+    def test_boundary_points_added(self, board_text):
+        board = board_from_text(board_text)
+        for t in range(1, 7):
+            rows = board.scaled_strict_rows(t)
+            closed = closed_lattice_points(board, t)
+            assert closed == sorted(closed)
+            assert set(interior_lattice_points(board, t)) == {
+                (x, y) for x, y in closed
+                if all(a * x + b * y < c for a, b, c in rows)}
+            assert all(any(a * x + b * y == c for a, b, c in rows)
+                       for x, y in set(closed)
+                       - set(interior_lattice_points(board, t)))
+
+    @pytest.mark.parametrize("board_text", [
+        "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3",
+        "poly:-1,0,1/2;0,-1,2/3;3,1,5/2"])
+    def test_bounding_box_from_vertices(self, board_text):
+        # The box comes from extremes stored once per board; it must equal
+        # ceil/floor of the dilated Fraction vertices.
+        board = board_from_text(board_text)
+        for t in range(0, 15):
+            xs = [t * x for x, _ in board.vertices]
+            ys = [t * y for _, y in board.vertices]
+            width = floor(max(xs)) - ceil(min(xs)) + 1
+            height = floor(max(ys)) - ceil(min(ys)) + 1
+            assert bounding_box_cells(board, t) == width * height
 
 
 class TestAttacks:

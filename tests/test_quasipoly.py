@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riderpoly import quasipoly as qp
 from riderpoly.counting import count_series
@@ -165,3 +165,74 @@ class TestAlgebra:
     def test_reduced_collapses_fake_period(self):
         fake = qp.Quasipolynomial(1, 2, ((F(0), F(1)), (F(0), F(1))))
         assert fake.reduced().period == 1
+
+
+def reference_lagrange(points):
+    """Lagrange interpolation over Fraction, ascending coefficients."""
+    coeffs = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [F(1)]
+        denom = F(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = qp.poly_mul(basis, (F(-xj), F(1)))
+                denom *= xi - xj
+        weight = F(yi) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += weight * c
+    return tuple(coeffs)
+
+
+def reference_fit(values, period, degree):
+    """Residue-wise Lagrange fit validated with poly_eval, as reference."""
+    constituents = []
+    for k in range(period):
+        ns = sorted(n for n in values if n % period == k)
+        coeffs = reference_lagrange([(n, values[n]) for n in ns[:degree + 1]])
+        residuals = {}
+        for n in ns[degree + 1:]:
+            predicted = qp.poly_eval(coeffs, n)
+            if predicted != values[n]:
+                residuals[n] = (values[n], predicted)
+        if residuals:
+            raise ValidationMismatchError("reference", residuals=residuals)
+        constituents.append(coeffs)
+    return qp.Quasipolynomial(degree, period, tuple(constituents))
+
+
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+class TestIntegerFitParity:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), period=st.integers(1, 4), degree=st.integers(0, 8),
+           extra=st.integers(1, 3), start=st.integers(-30, 5))
+    def test_matches_lagrange_reference(self, data, period, degree, extra,
+                                        start):
+        target = qp.Quasipolynomial(degree, period, tuple(
+            tuple(data.draw(COEFFS) for _ in range(degree + 1))
+            for _ in range(period)))
+        values = {}
+        for n in range(start, start + period * (degree + 1 + extra)):
+            value = target.evaluate(n)
+            values[n] = int(value) if value.denominator == 1 else value
+        fitted = qp.fit_values(values, period, degree)
+        assert fitted == reference_fit(values, period, degree) == target
+        assert all(type(c) is F for cons in fitted.constituents for c in cons)
+
+        # A corrupted held-out row is rejected with the same residuals.
+        held = data.draw(st.sampled_from(sorted(values)[-period * extra:]))
+        values[held] += data.draw(COEFFS.filter(bool))
+        with pytest.raises(ValidationMismatchError) as new:
+            qp.fit_values(values, period, degree)
+        with pytest.raises(ValidationMismatchError) as ref:
+            reference_fit(values, period, degree)
+        assert new.value.residuals == ref.value.residuals
+        assert list(new.value.residuals) == [held]
+
+    @given(st.lists(st.tuples(st.integers(-20, 20), COEFFS), min_size=1,
+                    max_size=6, unique_by=lambda point: point[0]))
+    def test_interpolate_matches_lagrange(self, points):
+        coeffs = qp.interpolate(points)
+        assert coeffs == reference_lagrange(points)
+        assert repr(coeffs) == repr(reference_lagrange(points))

@@ -119,6 +119,21 @@ class TestReconstructionSeries:
         brute = count_series(bishop, board, 2, 1, 10)
         assert table.rows == brute.rows
 
+    @pytest.mark.parametrize("name,q", [("queen", 2), ("bishop", 3),
+                                        ("nightrider", 2)])
+    @pytest.mark.parametrize("board_text", [
+        "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3"])
+    def test_negative_n_by_reciprocity(self, name, q, board_text):
+        # At n = -m the inclusion-exclusion sum counts closed dilates
+        # (cells and flat tuples alike); the assembled quasipolynomial,
+        # whose cell count N is fitted from n >= 0 only, must agree.
+        from riderpoly.arrangement import reconstruct_count
+        sl = intersection_semilattice(piece_from_text(name), q)
+        board = board_from_text(board_text)
+        labelled, _ = reconstruction_quasipolynomials(sl, board)
+        for n in range(-5, 0):
+            assert labelled.evaluate(n) == reconstruct_count(sl, board, n), n
+
     def test_cross_check_tamper_detection(self, queen_sl3, square, monkeypatch):
         # a wrong assembled value must be caught by the brute-force gate
         import riderpoly.symbolic as sym
