@@ -120,7 +120,6 @@ class Semilattice:
         self._by_key = by_key
         self.iso_classes: list[IsoClass] = []
         self._alpha_cache: dict = {}
-        self._alpha_qp_cache: dict = {}
 
     @property
     def bottom(self) -> Flat:
@@ -276,35 +275,19 @@ def iso_classes(sl: Semilattice) -> list[IsoClass]:
     return sl.iso_classes
 
 
-def decompose(sl: Semilattice, flat: Flat) -> list[Flat]:
-    """Split a flat along the connected components of its slope graph.
+def is_connected(flat: Flat) -> bool:
+    """Whether the flat's slope graph is one component (the bottom has none).
 
-    Mobius values and lattice-point counts multiply across the parts.
+    Mobius values and lattice-point counts multiply over the components,
+    so only connected flats enter the exponential-formula assembly.
     """
     if not flat.involved:
-        return []
-    neighbors = {p: set() for p in flat.involved}
-    for i, j, _ in flat.edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    seen = set()
-    parts = []
-    for start in flat.involved:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(neighbors[v] - comp)
-        seen |= comp
-        hids = [hid for hid in flat.hyperplanes
-                if sl.hyperplanes[hid].i in comp]
-        parts.append(sl.flat_of_hyperplanes(hids))
-    return parts
+        return False
+    reached = {flat.involved[0]}
+    for _ in flat.involved:
+        reached.update(p for i, j, _r in flat.edges
+                       if i in reached or j in reached for p in (i, j))
+    return len(reached) == flat.kappa
 
 
 def w_slope_flat(sl: Semilattice, pieces, move_index: int) -> Flat:

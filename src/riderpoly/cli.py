@@ -51,6 +51,8 @@ def cmd_count(args) -> int:
     board = board_from_text(args.board)
     n_from, n_to = _parse_range("--n", args.n)
     if args.method == "reconstruction":
+        if n_from < 0:      # reconstruction_series' check, before the closure
+            raise ValueError("n must be nonnegative")
         sl = intersection_semilattice(ms, args.q)
         table = reconstruction_series(sl, board, n_from, n_to,
                                       budget=args.budget)

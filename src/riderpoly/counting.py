@@ -195,12 +195,6 @@ class ConfigType:
                 _remap_mask(mask, perm, q) for mask in row)
         return ConfigType(tuple(rows))
 
-    def canonical(self) -> "ConfigType":
-        """Least relabelling; identical for configurations of one unlabelled type."""
-        best = min(self.relabelled(perm).left
-                   for perm in permutations(range(self.q)))
-        return ConfigType(best)
-
 
 def _remap_mask(mask: int, perm, q: int) -> int:
     out = 0
@@ -218,7 +212,7 @@ def labelled_type_of(cfg: Configuration, ms: MoveSet) -> ConfigType:
     """
     pts = cfg.positions
     q = len(pts)
-    keys = [[m.d * x - m.c * y for (x, y) in pts] for m in ms]
+    keys = attack_keys(ms, pts)
     for a in range(q):
         for b in range(a + 1, q):
             if pts[a] == pts[b] or any(col[a] == col[b] for col in keys):

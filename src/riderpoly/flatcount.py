@@ -76,10 +76,11 @@ def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int,
     npts = len(geo.points)
     if npts == 0:
         return 0
-    if npts ** min(kappa, 3) > budget:
+    envelope = npts ** min(kappa, 3)
+    if envelope > budget:
         raise CapacityError(
-            f"alpha envelope {npts ** min(kappa, 3)} exceeds budget {budget}",
-            n=n, budget=budget)
+            f"alpha envelope {envelope} exceeds budget {budget}",
+            n=n, envelope=envelope, budget=budget)
 
     local = {piece: a for a, piece in enumerate(flat.involved)}
     pair_slopes: dict[tuple[int, int], set[int]] = {}

@@ -1,28 +1,25 @@
 """Assembled counting quasipolynomials from the intersection semilattice.
 
-``reconstruct_count`` in the arrangement module evaluates the
-inclusion-exclusion sum at one board size by direct enumeration.  This
-module assembles the *whole quasipolynomial* instead: each flat class's
-lattice-point count alpha is itself an Ehrhart quasipolynomial of known
-degree whose period divides the flat polytope's vertex denominator, so it
-can be fitted exactly from small boards (with held-out validation) and
-then evaluated anywhere.  By Ehrhart-Macdonald reciprocity the closed
-dilates supply its values at negative n, so the samples sit in a window
-around n = 0.  That turns the Mobius sum into exact
-quasipolynomial algebra and makes count tables reachable that brute force
+``reconstruct_count`` in the arrangement module sums over every flat at
+one board size.  This module assembles the *whole quasipolynomial* from
+the connected flats: mu and alpha multiply over slope-graph components,
+so by the exponential formula (Stanley, EC2 5.1) the count is a sum over
+set partitions of the pieces of per-block terms.  Each connected class's
+alpha is an Ehrhart quasipolynomial whose period divides the flat
+polytope's vertex denominator, fitted exactly (with held-out
+validation) from a window of sizes around n = 0, the negative ones by
+Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
 cannot touch (the q = 4 table on the square board, for instance).
-
-Every assembled series is cross-checked against the brute-force
-enumerator on small boards before it is returned.
+Every series is cross-checked against brute force before it is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import quasipoly as qp
-from .arrangement import Flat, Semilattice, alpha, decompose
+from .arrangement import Flat, Semilattice, alpha, is_connected
 from .bounds import flat_polytope_denominator
 from .counting import (
     DEFAULT_BUDGET,
@@ -55,38 +52,48 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
              budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
     """The flat's alpha as an exact, validated quasipolynomial of n.
 
-    Disconnected flats multiply over their slope-graph components.  A
-    connected flat of dimension d = 2*kappa - codim is fitted at period p
-    = its flat polytope denominator from d + 2 values per residue, taken
-    from a window of p*(d + 2) sizes around 0: ``alpha`` at negative n
-    counts the closed dilates (Ehrhart-Macdonald reciprocity), so the
-    largest |n| sampled is about p*(d + 2)/2 instead of p*(d + 2).  Each
-    residue's largest sample, at n >= 0, is its held-out row.  Isomorphic
-    flats share one cached fit.
+    A flat of dimension d = 2*kappa - codim is fitted at period p = its
+    flat polytope denominator from d + 2 values per residue, taken from a
+    window of p*(d + 2) sizes around 0: ``alpha`` at negative n counts
+    the closed dilates (Ehrhart-Macdonald reciprocity), so the largest |n|
+    sampled is about p*(d + 2)/2 instead of p*(d + 2).  Each residue's
+    largest sample, at n >= 0, is its held-out row.
     """
-    cache = sl._alpha_qp_cache
-    key = (flat.iso_key, board)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    degree = 2 * flat.kappa - flat.codim
+    period = flat_polytope_denominator(flat, board)
+    span = period * (degree + 2)
+    values = {n: alpha(sl, flat, board, n, budget)
+              for n in range(-(span // 2), span - span // 2)}
+    return qp.fit_values(values, period, degree).reduced()
 
-    if flat.kappa == 0:
-        value = qp.constant(1)
-    else:
-        parts = decompose(sl, flat)
-        if len(parts) > 1:
-            value = qp.constant(1)
-            for part in parts:
-                value = value * alpha_qp(sl, part, board, budget)
-        else:
-            degree = 2 * flat.kappa - flat.codim
-            period = flat_polytope_denominator(flat, board)
-            span = period * (degree + 2)
-            values = {n: alpha(sl, flat, board, n, budget)
-                      for n in range(-(span // 2), span - span // 2)}
-            value = qp.fit_values(values, period, degree).reduced()
-    cache[key] = value
-    return value
+
+def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
+                       budget: int = DEFAULT_BUDGET) -> list:
+    """Labelled counting quasipolynomials a_0, ..., a_q of m = 0..q pieces.
+
+    Exponential formula: with c_1 = N and c_k = sum mu * alpha over the
+    connected flats on pieces 0..k-1, a_m = sum over k of
+    C(m-1, k-1) * c_k * a_{m-k}.  A connected class on k pieces is spread
+    evenly over the C(q, k) piece subsets, so each contributes
+    size / C(q, k) flats to c_k.
+    """
+    q = sl.q
+    c = [None, board_count_qp(board, budget)] + [qp.constant(0)] * (q - 1)
+    for cls in sl.iso_classes:
+        rep = sl.flats[cls.representative]
+        if not is_connected(rep):
+            continue
+        share, rest = divmod(cls.size, comb(q, cls.kappa))
+        if rest:
+            raise RuntimeError("a connected class is uneven over piece subsets")
+        c[cls.kappa] += share * rep.mobius * alpha_qp(sl, rep, board, budget)
+    a = [qp.constant(1)]
+    for m in range(1, q + 1):
+        a_m = qp.constant(0)
+        for k in range(1, m + 1):
+            a_m += comb(m - 1, k - 1) * c[k] * a[m - k]
+        a.append(a_m)
+    return a
 
 
 def reconstruction_quasipolynomials(
@@ -94,17 +101,11 @@ def reconstruction_quasipolynomials(
         budget: int = DEFAULT_BUDGET) -> tuple:
     """(labelled, unlabelled) counting quasipolynomials for the semilattice's piece.
 
-    Sums mu * alpha * N^(q - kappa) over isomorphism classes (isomorphic
-    flats share mu and alpha, so the grouped sum equals the flat-by-flat
-    sum exactly), then checks degree and leading coefficient against the
-    Ehrhart form before returning.
+    The labelled one is a_q of ``labelled_count_qps``; its degree and
+    leading coefficient are checked against the Ehrhart form before
+    returning.
     """
-    n_qp = board_count_qp(board, budget)
-    total = qp.constant(0)
-    for cls in sl.iso_classes:
-        rep = sl.flats[cls.representative]
-        term = (cls.size * rep.mobius) * alpha_qp(sl, rep, board, budget)
-        total = total + term * n_qp ** (sl.q - cls.kappa)
+    total = labelled_count_qps(sl, board, budget)[sl.q]
     if total.degree != 2 * sl.q:
         raise RiderPolyError(
             f"assembled quasipolynomial has degree {total.degree}, "
@@ -126,8 +127,12 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
 
     Before emitting anything the assembled labelled count is compared with
     the brute-force enumerator for n = 0..cross_check_up_to (exact
-    equality); a mismatch raises instead of producing a table.
+    equality); a mismatch raises instead of producing a table.  Like the
+    brute-force route it refuses a negative n, where the quasipolynomial
+    gives reciprocity values, not counts.
     """
+    if n_from < 0:
+        raise ValueError("n must be nonnegative")
     labelled_qp, _ = reconstruction_quasipolynomials(sl, board, budget)
     fq = factorial(sl.q)
     for n in range(0, cross_check_up_to + 1):

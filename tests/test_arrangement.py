@@ -12,9 +12,9 @@ from riderpoly.arrangement import (
     _compute_mobius,
     alpha,
     build_move_arrangement,
-    decompose,
     hyperplane_row,
     intersection_semilattice,
+    is_connected,
     iso_classes,
     mobius,
     reconstruct_count,
@@ -215,24 +215,60 @@ class TestNamedFlats:
             queen_sl2.flat_by_rows([(1, 0, 0, 0)])
 
 
-class TestDecompose:
+def split_components(sl, flat):
+    """The flats of the connected components of a flat's slope graph."""
+    neighbors = {p: set() for p in flat.involved}
+    for i, j, _ in flat.edges:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    parts, seen = [], set()
+    for start in flat.involved:
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            v = stack.pop()
+            if v not in comp:
+                comp.add(v)
+                stack.extend(neighbors[v] - comp)
+        seen |= comp
+        parts.append(sl.flat_of_hyperplanes(
+            [hid for hid in flat.hyperplanes if sl.hyperplanes[hid].i in comp]))
+    return parts
+
+
+class TestComponents:
     def test_disjoint_pairs_split(self, bishop_sl4):
         sl = bishop_sl4
         flat = sl.flat_of_hyperplanes([sl.hyperplane_index(0, 1, 0),
                                        sl.hyperplane_index(2, 3, 0)])
-        parts = decompose(sl, flat)
+        parts = split_components(sl, flat)
         assert len(parts) == 2
-        assert all(p.codim == 1 for p in parts)
+        assert all(p.codim == 1 and is_connected(p) for p in parts)
+        assert not is_connected(flat)
         assert flat.mobius == parts[0].mobius * parts[1].mobius == 1
 
     def test_connected_flat_is_one_component(self, queen_sl3):
         weq = w_equal_flat(queen_sl3, [0, 1, 2])
-        assert len(decompose(queen_sl3, weq)) == 1
+        assert len(split_components(queen_sl3, weq)) == 1
+        assert is_connected(weq)
+
+    def test_bottom_is_not_connected(self, queen_sl3):
+        assert split_components(queen_sl3, queen_sl3.bottom) == []
+        assert not is_connected(queen_sl3.bottom)
+
+    @pytest.mark.parametrize("fixture", ["queen_sl4", "bishop_sl4"])
+    def test_predicate_matches_splitter(self, fixture, request):
+        sl = request.getfixturevalue(fixture)
+        for flat in sl.flats:
+            assert is_connected(flat) == (
+                len(split_components(sl, flat)) == 1), flat
 
     def test_mobius_and_alpha_multiplicativity(self, bishop_sl4, square):
+        # The exponential-formula assembly rests on both products.
         sl = bishop_sl4
         for flat in sl.flats:
-            parts = decompose(sl, flat)
+            parts = split_components(sl, flat)
             if len(parts) < 2:
                 continue
             assert flat.mobius == (
@@ -441,7 +477,7 @@ class TestAlphaParity:
         sl = queen_sl4
         cycles = [sl.flats[c.representative] for c in sl.iso_classes
                   if c.kappa == 4 and c.codim == 4
-                  and len(decompose(sl, sl.flats[c.representative])) == 1]
+                  and is_connected(sl.flats[c.representative])]
         assert cycles
         for flat in cycles:
             for n in (3, 5):

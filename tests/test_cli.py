@@ -98,6 +98,36 @@ class TestCount:
         assert error["type"] == "CapacityError"
         assert error["context"]["cells"] == str(cells)
 
+    # At negative n the counting quasipolynomial gives reciprocity values,
+    # not counts, so both routes refuse the range.
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    @pytest.mark.parametrize("method", ["brute", "reconstruction"])
+    def test_negative_n_is_usage_error(self, capsys, method, fmt):
+        code = main(["count", "--piece", "queen", "--q", "2", "--n=-3:0",
+                     "--method", method, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        message = "n must be nonnegative"
+        if fmt == "json":
+            assert json.loads(captured.out)["error"] == {
+                "type": "ValueError", "message": message}
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+    def test_alpha_envelope_context(self, capsys):
+        # Same context keys as the enumeration route's envelope refusal.
+        code, out = run_cli(capsys, "count", "--method", "reconstruction",
+                            "--piece", "nightrider", "--q", "3", "--n", "1:3",
+                            "--format", "json")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "CapacityError"
+        assert error["message"].startswith("alpha envelope ")
+        assert set(error["context"]) == {"n", "envelope", "budget"}
+        assert int(error["context"]["envelope"]) > int(error["context"]["budget"])
+
     def test_usage_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "count", "--piece", "0,0", "--q", "2",
                           "--n", "1:3")

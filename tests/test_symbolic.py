@@ -4,13 +4,18 @@ import pytest
 
 from riderpoly import bounds
 from riderpoly.arrangement import alpha, intersection_semilattice, w_equal_flat
-from riderpoly.counting import METHOD_RECONSTRUCTION, count_series
+from riderpoly.counting import (
+    METHOD_RECONSTRUCTION,
+    count_nonattacking,
+    count_series,
+)
 from riderpoly.errors import RiderPolyError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
     board_count_qp,
     flat_polytope_denominator,
+    labelled_count_qps,
     reconstruction_quasipolynomials,
     reconstruction_series,
 )
@@ -103,6 +108,17 @@ class TestReconstructionSeries:
         assert unlabelled.reduced().period == 2
         assert set(c[6] for c in unlabelled.constituents) == {F(1, 6)}
 
+    @pytest.mark.parametrize("name", ["queen", "rook"])
+    def test_fewer_pieces_from_one_recursion(self, name, square):
+        # The exponential-formula recursion builds a_m for every m <= q
+        # from the q = 4 semilattice's connected classes.
+        ms = piece_from_text(name)
+        counts = labelled_count_qps(intersection_semilattice(ms, 4), square)
+        for m in range(0, 4):
+            for n in range(0, 8):
+                assert counts[m].evaluate(n) == count_nonattacking(
+                    ms, square, m, n)[0], (m, n)
+
     @pytest.mark.parametrize("board_text", [
         "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3"])
     def test_single_piece_matches_brute_force(self, queen, board_text):
@@ -133,6 +149,17 @@ class TestReconstructionSeries:
         labelled, _ = reconstruction_quasipolynomials(sl, board)
         for n in range(-5, 0):
             assert labelled.evaluate(n) == reconstruct_count(sl, board, n), n
+
+    def test_negative_n_refused_before_any_fit(self, queen_sl3, square,
+                                               monkeypatch):
+        import riderpoly.symbolic as sym
+
+        def no_fit(*args):
+            raise AssertionError("fitted before refusing n < 0")
+
+        monkeypatch.setattr(sym, "reconstruction_quasipolynomials", no_fit)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            sym.reconstruction_series(queen_sl3, square, -3, 0)
 
     def test_cross_check_tamper_detection(self, queen_sl3, square, monkeypatch):
         # a wrong assembled value must be caught by the brute-force gate
