@@ -19,23 +19,24 @@ configuration types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .counting import DEFAULT_BUDGET, check_board_walk
-from .errors import CapacityError
+from .errors import CapacityError, Record
 from .flatcount import count_flat, geometry_at
 from .geometry import BoardPolygon, MoveSet
 from .linalg import canonical_int_rows, insert_row
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Pieces i < j lie on a common line of the move with this index."""
+class Hyperplane(Record, frozen=True):
+    """Pieces i < j lie on a common line of the move with this index; a frozen value."""
 
-    i: int
-    j: int
-    move_index: int
+    __slots__ = ("i", "j", "move_index")
+
+    def __init__(self, i: int, j: int, move_index: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "move_index", move_index)
 
 
 def build_move_arrangement(ms: MoveSet, q: int) -> list[Hyperplane]:
@@ -86,18 +87,23 @@ class Flat:
                 f"mobius={self.mobius})")
 
 
-@dataclass(frozen=True)
-class IsoClass:
-    """Flats sharing a slope graph up to label-preserving isomorphism."""
+class IsoClass(Record, frozen=True):
+    """Flats sharing a slope graph up to label-preserving isomorphism; a frozen value."""
 
-    id: int
-    key: tuple
-    kappa: int
-    codim: int
-    mobius: int
-    aut_order: int
-    representative: int
-    members: tuple[int, ...]
+    __slots__ = ("id", "key", "kappa", "codim", "mobius", "aut_order",
+                 "representative", "members")
+
+    def __init__(self, id: int, key: tuple, kappa: int, codim: int,
+                 mobius: int, aut_order: int, representative: int,
+                 members: tuple[int, ...]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "mobius", mobius)
+        object.__setattr__(self, "aut_order", aut_order)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
 
     @property
     def size(self) -> int:

@@ -20,7 +20,6 @@ from .counting import DEFAULT_BUDGET, census_types, count_series
 from .errors import CapacityError, RiderPolyError
 from .geometry import board_from_text, piece_from_text
 from .symbolic import reconstruction_series
-from .verify import run_paper_suite
 
 
 def _parse_range(option: str, text: str) -> tuple[int, int]:
@@ -51,7 +50,10 @@ def cmd_count(args) -> int:
     board = board_from_text(args.board)
     n_from, n_to = _parse_range("--n", args.n)
     if args.method == "reconstruction":
-        if n_from < 0:      # reconstruction_series' check, before the closure
+        # reconstruction_series' checks, made before the closure is built
+        if n_from > n_to:
+            raise ValueError("n_from must not exceed n_to")
+        if n_from < 0:
             raise ValueError("n must be nonnegative")
         sl = intersection_semilattice(ms, args.q)
         table = reconstruction_series(sl, board, n_from, n_to,
@@ -208,6 +210,9 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "paper":
         raise RiderPolyError(f"unknown suite {args.suite!r}")
+    # Imported here: only this command needs the battery, and every other
+    # command would pay for compiling it at start-up.
+    from .verify import run_paper_suite
     return run_paper_suite()
 
 

@@ -9,12 +9,11 @@ caps raise ``CapacityError`` instead).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
 
 from . import kernel
-from .errors import AttackingConfigurationError, CapacityError
+from .errors import AttackingConfigurationError, CapacityError, Record
 from .geometry import (
     BoardPolygon,
     Configuration,
@@ -82,25 +81,29 @@ def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     return factorial(q) * unlabelled, unlabelled
 
 
-@dataclass
-class CountTable:
+class CountTable(Record):
     """Exact counts per board size, with provenance.
 
     ``rows`` maps n to (labelled, unlabelled); the labelled column always
-    equals q! times the unlabelled one.
+    equals q! times the unlabelled one.  Each table without ``rows`` gets
+    its own empty dict.  A mutable value, so unhashable.
     """
 
-    piece: str
-    board: BoardPolygon
-    q: int
-    rows: dict[int, tuple[int, int]] = field(default_factory=dict)
-    method: str = METHOD_BRUTE_FORCE
+    __slots__ = ("piece", "board", "q", "rows", "method")
 
-    def __post_init__(self):
-        fq = factorial(self.q)
-        for n, (lab, unlab) in self.rows.items():
+    def __init__(self, piece: str, board: BoardPolygon, q: int,
+                 rows: dict[int, tuple[int, int]] | None = None,
+                 method: str = METHOD_BRUTE_FORCE):
+        rows = {} if rows is None else rows
+        fq = factorial(q)
+        for n, (lab, unlab) in rows.items():
             if lab != fq * unlab or unlab < 0:
-                raise ValueError(f"inconsistent row at n={n}: {lab} != {self.q}!*{unlab}")
+                raise ValueError(f"inconsistent row at n={n}: {lab} != {q}!*{unlab}")
+        self.piece = piece
+        self.board = board
+        self.q = q
+        self.rows = rows
+        self.method = method
 
     def ns(self) -> list[int]:
         return sorted(self.rows)
@@ -167,15 +170,18 @@ def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
         yield tuple(points[i] for i in combo)
 
 
-@dataclass(frozen=True)
-class ConfigType:
+class ConfigType(Record, frozen=True):
     """Combinatorial type of a labelled nonattacking configuration.
 
     ``left[i][r]`` is a bitmask over piece indices j with piece j strictly
-    on the left side of the r-th move line through piece i.
+    on the left side of the r-th move line through piece i.  A frozen
+    value, built for every placement and relabelling in the type census.
     """
 
-    left: tuple[tuple[int, ...], ...]
+    __slots__ = ("left",)
+
+    def __init__(self, left: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "left", left)
 
     @property
     def q(self) -> int:

@@ -1,4 +1,58 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the value types, shared across the package."""
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's value types: fields in ``__slots__``.
+
+    A subclass lists its fields, in constructor order, in ``__slots__`` and
+    sets them in its own ``__init__``.  It gets a repr in the
+    ``Name(field=value, ...)`` form, and equality that holds only between
+    instances of the same class with equal fields, so a non-frozen
+    subclass is unhashable.  A subclass declared with ``frozen=True``
+    refuses assignment with ``AttributeError`` (its own ``__init__`` sets
+    fields through ``object.__setattr__``) and hashes the tuple of its
+    fields.  ``@dataclass`` gives the same, but importing ``dataclasses``
+    and generating the methods of each class cost more at start-up than
+    most CLI commands spend computing.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # The fields as a tuple, read in C: what __eq__, __hash__ and
+        # __repr__ compare, hash and print.
+        cls._astuple = property(
+            get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        if frozen:
+            cls.__setattr__ = Record._refuse_setattr
+            cls.__delattr__ = Record._refuse_delattr
+            cls.__hash__ = Record._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._astuple))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple
+
+    def _hash(self):
+        return hash(self._astuple)
+
+    def _refuse_setattr(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _refuse_delattr(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RiderPolyError(Exception):

@@ -14,29 +14,27 @@ immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
-from .errors import BoardError, MoveSetError
+from .errors import BoardError, MoveSetError, Record
 
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Move:
-    """A basic move vector ``(c, d)``, in lowest terms."""
+class Move(Record, frozen=True):
+    """A basic move vector ``(c, d)``, in lowest terms; a frozen value."""
 
-    c: int
-    d: int
+    __slots__ = ("c", "d")
 
-    def __post_init__(self):
-        if self.c == 0 and self.d == 0:
+    def __init__(self, c: int, d: int):
+        if c == 0 and d == 0:
             raise MoveSetError("move (0, 0) is not allowed")
-        if gcd(abs(self.c), abs(self.d)) != 1:
-            raise MoveSetError(
-                f"move ({self.c}, {self.d}) is not in lowest terms")
+        if gcd(abs(c), abs(d)) != 1:
+            raise MoveSetError(f"move ({c}, {d}) is not in lowest terms")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @property
     def perp(self) -> Point:
@@ -53,22 +51,22 @@ class Move:
         return self.d * x - self.c * y
 
 
-@dataclass(frozen=True)
-class MoveSet:
-    """An ordered set of basic moves with pairwise distinct slopes."""
+class MoveSet(Record, frozen=True):
+    """An ordered set of basic moves with pairwise distinct slopes; a frozen value."""
 
-    moves: tuple[Move, ...]
-    name: str | None = None
+    __slots__ = ("moves", "name")
 
-    def __post_init__(self):
-        if not self.moves:
+    def __init__(self, moves: tuple[Move, ...], name: str | None = None):
+        if not moves:
             raise MoveSetError("a piece needs at least one move")
         seen = set()
-        for m in self.moves:
+        for m in moves:
             rep = _canonical_direction(m.c, m.d)
             if rep in seen:
                 raise MoveSetError(f"parallel moves: duplicate slope {m.slope_label}")
             seen.add(rep)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "name", name)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -388,12 +386,17 @@ def reachable_by_two_moves(m1: Move, m2: Move, delta: Sequence[int]) -> bool:
     return delta[0] % det == 0 and delta[1] % det == 0
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Positions of q pieces; ``labelled`` records whether order matters."""
+class Configuration(Record, frozen=True):
+    """Positions of q pieces; ``labelled`` records whether order matters.
 
-    positions: tuple[Point, ...]
-    labelled: bool = True
+    A frozen value, built once per placement in the type census.
+    """
+
+    __slots__ = ("positions", "labelled")
+
+    def __init__(self, positions: tuple[Point, ...], labelled: bool = True):
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "labelled", labelled)
 
     def __len__(self) -> int:
         return len(self.positions)

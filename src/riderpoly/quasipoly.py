@@ -13,7 +13,6 @@ in this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -21,6 +20,7 @@ from .errors import (
     FitError,
     InsufficientDataError,
     PeriodNotFoundError,
+    Record,
     ValidationMismatchError,
 )
 from .linalg import divisors, insert_row
@@ -81,24 +81,26 @@ def interpolate(points) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, scale) for a in coeffs)
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
+class Quasipolynomial(Record, frozen=True):
     """p constituent polynomials; f(n) = constituent[n mod p](n).
 
     Constituents are stored in residue order with ascending-power exact
-    rational coefficients, all padded to the common degree.
+    rational coefficients, all padded to the common degree.  A frozen
+    value, built for every fit and every step of the assembly.
     """
 
-    degree: int
-    period: int
-    constituents: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("degree", "period", "constituents")
 
-    def __post_init__(self):
-        if len(self.constituents) != self.period:
+    def __init__(self, degree: int, period: int,
+                 constituents: tuple[tuple[Fraction, ...], ...]):
+        if len(constituents) != period:
             raise ValueError("constituent count must equal the period")
-        for c in self.constituents:
-            if len(c) != self.degree + 1:
+        for c in constituents:
+            if len(c) != degree + 1:
                 raise ValueError("constituents must share the stated degree")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "constituents", constituents)
 
     def evaluate(self, n: int) -> Fraction:
         """f(n) for any integer n; n = -1 uses the last constituent."""

@@ -128,9 +128,11 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
     Before emitting anything the assembled labelled count is compared with
     the brute-force enumerator for n = 0..cross_check_up_to (exact
     equality); a mismatch raises instead of producing a table.  Like the
-    brute-force route it refuses a negative n, where the quasipolynomial
-    gives reciprocity values, not counts.
+    brute-force route it refuses a reversed range, and a negative n, where
+    the quasipolynomial gives reciprocity values, not counts.
     """
+    if n_from > n_to:
+        raise ValueError("n_from must not exceed n_to")
     if n_from < 0:
         raise ValueError("n must be nonnegative")
     labelled_qp, _ = reconstruction_quasipolynomials(sl, board, budget)

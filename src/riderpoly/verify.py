@@ -12,7 +12,6 @@ does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -24,17 +23,22 @@ from .arrangement import (
     w_slope_flat,
 )
 from .counting import CountTable, census_types, count_nonattacking, count_series
-from .errors import CapacityError
+from .errors import CapacityError, Record
 from .geometry import BoardPolygon, piece_from_text
 from .symbolic import reconstruction_series
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    expected_failure: bool = False
-    detail: str = ""
+class CheckResult(Record):
+    """The outcome of one check of the battery; a mutable value."""
+
+    __slots__ = ("name", "passed", "expected_failure", "detail")
+
+    def __init__(self, name: str, passed: bool,
+                 expected_failure: bool = False, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.expected_failure = expected_failure
+        self.detail = detail
 
     @property
     def status(self) -> str:
@@ -43,12 +47,19 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass
-class PaperSuite:
-    """Shared artifacts for the acceptance battery (tables, semilattices)."""
+class PaperSuite(Record):
+    """Shared artifacts for the acceptance battery (tables, semilattices).
 
-    board: BoardPolygon = field(default_factory=BoardPolygon.square)
-    _cache: dict = field(default_factory=dict)
+    The board defaults to the square and the cache to a new empty dict.
+    A mutable value, so unhashable.
+    """
+
+    __slots__ = ("board", "_cache")
+
+    def __init__(self, board: BoardPolygon | None = None,
+                 _cache: dict | None = None):
+        self.board = BoardPolygon.square() if board is None else board
+        self._cache = {} if _cache is None else _cache
 
     def piece(self, name: str):
         return piece_from_text(name)

@@ -99,15 +99,18 @@ class TestCount:
         assert error["context"]["cells"] == str(cells)
 
     # At negative n the counting quasipolynomial gives reciprocity values,
-    # not counts, so both routes refuse the range.
+    # not counts, so both routes refuse the range, and a reversed one.
     @pytest.mark.parametrize("fmt", ["pretty", "json"])
     @pytest.mark.parametrize("method", ["brute", "reconstruction"])
-    def test_negative_n_is_usage_error(self, capsys, method, fmt):
-        code = main(["count", "--piece", "queen", "--q", "2", "--n=-3:0",
+    @pytest.mark.parametrize("n, message", [
+        ("-3:0", "n must be nonnegative"),
+        ("5:3", "n_from must not exceed n_to"),
+    ], ids=["negative", "reversed"])
+    def test_bad_n_range_is_usage_error(self, capsys, n, message, method, fmt):
+        code = main(["count", "--piece", "queen", "--q", "2", f"--n={n}",
                      "--method", method, "--format", fmt])
         captured = capsys.readouterr()
         assert code == 2
-        message = "n must be nonnegative"
         if fmt == "json":
             assert json.loads(captured.out)["error"] == {
                 "type": "ValueError", "message": message}

@@ -150,16 +150,21 @@ class TestReconstructionSeries:
         for n in range(-5, 0):
             assert labelled.evaluate(n) == reconstruct_count(sl, board, n), n
 
-    def test_negative_n_refused_before_any_fit(self, queen_sl3, square,
-                                               monkeypatch):
+    @pytest.mark.parametrize("n_from, n_to, message", [
+        (-3, 0, "n must be nonnegative"),
+        (5, 3, "n_from must not exceed n_to"),
+    ], ids=["negative", "reversed"])
+    def test_bad_range_refused_before_any_fit(self, queen_sl3, square,
+                                              monkeypatch, n_from, n_to,
+                                              message):
         import riderpoly.symbolic as sym
 
         def no_fit(*args):
-            raise AssertionError("fitted before refusing n < 0")
+            raise AssertionError("fitted before refusing the range")
 
         monkeypatch.setattr(sym, "reconstruction_quasipolynomials", no_fit)
-        with pytest.raises(ValueError, match="n must be nonnegative"):
-            sym.reconstruction_series(queen_sl3, square, -3, 0)
+        with pytest.raises(ValueError, match=message):
+            sym.reconstruction_series(queen_sl3, square, n_from, n_to)
 
     def test_cross_check_tamper_detection(self, queen_sl3, square, monkeypatch):
         # a wrong assembled value must be caught by the brute-force gate
