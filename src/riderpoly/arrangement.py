@@ -182,7 +182,7 @@ def intersection_semilattice(ms: MoveSet, q: int,
                 if len(masks) >= max_flats:
                     raise CapacityError(
                         f"semilattice closure exceeded {max_flats} flats",
-                        max_flats=max_flats)
+                        flats=len(masks) + 1, budget=max_flats)
                 # A hyperplane already covered, or passed over above, leads
                 # from this parent to another flat, so it is not in this one.
                 mask = masks[fid] | 1 << hid

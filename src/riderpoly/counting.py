@@ -9,7 +9,7 @@ caps raise ``CapacityError`` instead).
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from . import kernel
@@ -175,7 +175,8 @@ class ConfigType(Record, frozen=True):
 
     ``left[i][r]`` is a bitmask over piece indices j with piece j strictly
     on the left side of the r-th move line through piece i.  A frozen
-    value, built for every placement and relabelling in the type census.
+    value; the type census builds one per distinct comparison signature
+    of a placement, and one per relabelling of those.
     """
 
     __slots__ = ("left",)
@@ -210,6 +211,37 @@ def _remap_mask(mask: int, perm, q: int) -> int:
     return out
 
 
+def _signature(piece_keys) -> tuple:
+    """The comparison signature of a placement: key_i < key_j per move,
+    over the piece pairs i < j in order.
+
+    ``piece_keys`` holds one tuple of per-move attack keys per piece.  A
+    tie means two pieces share a move line, so it is refused.
+    """
+    sig = []
+    for a, b in combinations(range(len(piece_keys)), 2):
+        for x, y in zip(piece_keys[a], piece_keys[b]):
+            if x == y:
+                raise AttackingConfigurationError(
+                    f"pieces {a} and {b} attack each other")
+            sig.append(x < y)
+    return tuple(sig)
+
+
+def _type_of_signature(sig: tuple, q: int, nmoves: int) -> ConfigType:
+    """The left-side list family that a comparison signature determines."""
+    rows = [[0] * nmoves for _ in range(q)]
+    lower = iter(sig)
+    for a, b in combinations(range(q), 2):
+        for r in range(nmoves):
+            # key_a < key_b puts b on the left of the line through a.
+            if next(lower):
+                rows[a][r] |= 1 << b
+            else:
+                rows[b][r] |= 1 << a
+    return ConfigType(tuple(map(tuple, rows)))
+
+
 def labelled_type_of(cfg: Configuration, ms: MoveSet) -> ConfigType:
     """The left-side list family of a nonattacking labelled configuration.
 
@@ -217,24 +249,8 @@ def labelled_type_of(cfg: Configuration, ms: MoveSet) -> ConfigType:
     the move arrangement.
     """
     pts = cfg.positions
-    q = len(pts)
-    keys = attack_keys(ms, pts)
-    for a in range(q):
-        for b in range(a + 1, q):
-            if pts[a] == pts[b] or any(col[a] == col[b] for col in keys):
-                raise AttackingConfigurationError(
-                    f"pieces {a} and {b} attack each other")
-    rows = []
-    for i in range(q):
-        row = []
-        for col in keys:
-            mask = 0
-            for j in range(q):
-                if j != i and col[j] > col[i]:
-                    mask |= 1 << j
-            row.append(mask)
-        rows.append(tuple(row))
-    return ConfigType(tuple(rows))
+    sig = _signature(list(zip(*attack_keys(ms, pts))))
+    return _type_of_signature(sig, len(pts), len(ms))
 
 
 def census_types(ms: MoveSet, board: BoardPolygon, q: int, n: int,
@@ -244,20 +260,25 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     Enumerates every nonattacking placement, collects the distinct
     combinatorial types of its labelled orderings, and groups them into
     relabelling orbits.  Both counts are exact censuses: each orbit is
-    expanded into its individual labelled types.
+    expanded into its individual labelled types.  A placement's type
+    follows from its comparison signature, so the type, its orbit and its
+    canonical member are built once per distinct signature.
     """
-    canon_cache: dict[tuple, tuple] = {}
-    unlabelled: set[tuple] = set()
-    labelled: set[tuple] = set()
+    if q < 1:
+        raise ValueError("q must be positive")
+    points = _budgeted_points(board, q, n, budget)
+    keys = attack_keys(ms, points)
+    cell_keys = list(zip(*keys))
     perms = list(permutations(range(q)))
-    for positions in iter_nonattacking(ms, board, q, n, budget=budget):
-        ctype = labelled_type_of(Configuration(positions), ms)
-        canon = canon_cache.get(ctype.left)
-        if canon is None:
+    signatures: set[tuple] = set()
+    canon_of: dict[tuple, tuple] = {}   # labelled type -> orbit minimum
+    for combo in kernel.iter_nonattacking_subsets(keys, q):
+        sig = _signature([cell_keys[i] for i in combo])
+        if sig in signatures:
+            continue
+        signatures.add(sig)
+        ctype = _type_of_signature(sig, q, len(ms))
+        if ctype.left not in canon_of:
             orbit = {ctype.relabelled(perm).left for perm in perms}
-            canon = min(orbit)
-            for member in orbit:
-                canon_cache[member] = canon
-            labelled.update(orbit)
-        unlabelled.add(canon)
-    return len(labelled), len(unlabelled)
+            canon_of.update(dict.fromkeys(orbit, min(orbit)))
+    return len(canon_of), len(set(canon_of.values()))

@@ -389,7 +389,7 @@ def reachable_by_two_moves(m1: Move, m2: Move, delta: Sequence[int]) -> bool:
 class Configuration(Record, frozen=True):
     """Positions of q pieces; ``labelled`` records whether order matters.
 
-    A frozen value, built once per placement in the type census.
+    A frozen value; ``counting.labelled_type_of`` reads a type off one.
     """
 
     __slots__ = ("positions", "labelled")

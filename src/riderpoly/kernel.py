@@ -3,8 +3,10 @@
 Cells are identified by their per-move attack keys: cells p and p' are
 attacked along move r exactly when ``keys[r][p] == keys[r][p']``.  Each
 cell i gets one int bitmask of the cells after it that share no key with
-it, so choosing a cell is one AND with the candidate mask and the last
-level of the count is a popcount.
+it, so choosing a cell is one AND with the candidate mask.  The count
+makes no call for its last two levels: the last is the popcount of the
+candidates left, and at q = 2 the whole count is the sum of the masks'
+popcounts.
 """
 
 from __future__ import annotations
@@ -43,18 +45,21 @@ def count_nonattacking_subsets(keys, q: int) -> int:
     if npts < q:
         return 0
     masks = _later_unattacked(keys)
+    if q == 2:
+        return sum(mask.bit_count() for mask in masks)
 
     def extend(cand: int, left: int) -> int:
-        if left == 1:
-            return cand.bit_count()
+        """Nonattacking left-subsets of the cells in cand, left >= 2."""
         total = 0
         while cand:
             low = cand & -cand
             cand ^= low
-            total += extend(cand & masks[low.bit_length() - 1], left - 1)
+            rest = cand & masks[low.bit_length() - 1]
+            total += rest.bit_count() if left == 2 else extend(rest, left - 1)
         return total
 
-    return extend((1 << npts) - 1, q)
+    # masks[i] holds the candidates for the cells after a first cell i.
+    return sum(extend(mask, q - 1) for mask in masks)
 
 
 def iter_nonattacking_subsets(keys, q: int):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from riderpoly.geometry import BoardPolygon, piece_from_text
 
@@ -31,3 +32,25 @@ def nightrider():
 @pytest.fixture(scope="session")
 def semiqueen():
     return piece_from_text("semiqueen")
+
+
+# Move directions with entries in [-2, 2], one per line through the origin:
+# any subset, with any signs, is a valid piece (coprime, pairwise
+# non-parallel).
+DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+
+# Boards for random pieces: the square, two triangles and a rectangle with a
+# rational side.
+RANDOM_BOARDS = ("square", "poly:-1,0,0;0,-1,0;1,1,1", "rect:3/2,1",
+                 "poly:-1,0,0;0,-1,0;2,1,3")
+
+
+@st.composite
+def random_pieces(draw):
+    """A piece of 1-4 moves from DIRECTIONS, each with a random sign."""
+    dirs = draw(st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=4,
+                         unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(dirs),
+                          max_size=len(dirs)))
+    return piece_from_text(";".join(f"{s * c},{s * d}"
+                                    for (c, d), s in zip(dirs, signs)))

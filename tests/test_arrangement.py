@@ -3,6 +3,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from conftest import DIRECTIONS
 from hypothesis import given, settings, strategies as st
 
 from riderpoly.arrangement import (
@@ -23,6 +24,7 @@ from riderpoly.arrangement import (
     w_slope_flat,
 )
 from riderpoly.counting import attack_keys, count_nonattacking
+from riderpoly.errors import CapacityError
 from riderpoly.geometry import (
     board_from_text,
     closed_lattice_points,
@@ -81,6 +83,13 @@ class TestSemilattice:
         sl = intersection_semilattice(rook, 2)
         assert sorted(f.mobius for f in sl.flats) == [-1, -1, 1, 1]
 
+    def test_max_flats_refusal_context(self, queen):
+        # The queen q=2 closure has 6 flats; the 4th exceeds a budget of 3.
+        with pytest.raises(CapacityError) as exc:
+            intersection_semilattice(queen, 2, max_flats=3)
+        assert exc.value.context == {"flats": 4, "budget": 3}
+        assert len(intersection_semilattice(queen, 2, max_flats=6).flats) == 6
+
     def test_closure_under_intersection(self, queen_sl3):
         flats = queen_sl3.flats
         for a in flats:
@@ -112,11 +121,6 @@ class TestSemilattice:
         for f in queen_sl3.flats:
             if f.codim == 1:
                 assert f.mobius == -1
-
-
-# Move directions with entries in [-2, 2], one per sign class: every
-# subset is a valid piece (coprime, pairwise non-parallel).
-DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
 
 
 def reference_semilattice(ms, q):

@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb, lcm
 
 import pytest
+from conftest import DIRECTIONS
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import bounds
@@ -91,11 +92,6 @@ class TestDenominator:
             assert d > 0
             assert all(0 <= F(x, d) <= 1 for x in nums)
         assert seen  # the scan visits actual vertices
-
-
-# Move directions with entries in [-2, 2], one per sign class: every
-# subset is a valid piece (coprime, pairwise non-parallel).
-DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
 
 
 def _cramer_vertices(forced, optional, ncols, board):

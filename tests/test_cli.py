@@ -1,4 +1,5 @@
 import json
+from argparse import Namespace
 from importlib import resources
 from time import perf_counter
 
@@ -6,8 +7,11 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
-from riderpoly.cli import _parse_range, main
-from riderpoly.errors import RiderPolyError
+from riderpoly import bounds
+from riderpoly.arrangement import intersection_semilattice
+from riderpoly.cli import _error, _parse_range, main
+from riderpoly.errors import CapacityError, RiderPolyError
+from riderpoly.geometry import BoardPolygon, piece_from_text
 
 
 def run_cli(capsys, *argv):
@@ -79,7 +83,19 @@ class TestCount:
         code, out = run_cli(capsys, "count", "--piece", "queen", "--q", "3",
                             "--n", "30", "--budget", "1000", "--format", "json")
         assert code == 3
-        assert json.loads(out)["error"]["type"] == "CapacityError"
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["type"] == "CapacityError"
+
+    def test_search_envelope_context(self, capsys):
+        # The 144-cell walk fits the budget; the 100**3 search does not.
+        code, out = run_cli(capsys, "count", "--piece", "queen", "--q", "3",
+                            "--n", "10", "--budget", "1000", "--format", "json")
+        assert code == 3
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["context"] == {
+            "n": "10", "envelope": str(100**3), "budget": "1000"}
 
     # The reconstruction route's first walk is the board count fit at n=0.
     @pytest.mark.parametrize("method, cells", [("brute", 6001 * 6001),
@@ -94,7 +110,9 @@ class TestCount:
                             "--method", method)
         assert perf_counter() - start < 5
         assert code == 3
-        error = json.loads(out)["error"]
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        error = data["error"]
         assert error["type"] == "CapacityError"
         assert error["context"]["cells"] == str(cells)
 
@@ -112,8 +130,9 @@ class TestCount:
         captured = capsys.readouterr()
         assert code == 2
         if fmt == "json":
-            assert json.loads(captured.out)["error"] == {
-                "type": "ValueError", "message": message}
+            data = json.loads(captured.out)
+            validate(data, "error.schema.json")
+            assert data["error"] == {"type": "ValueError", "message": message}
             assert captured.err == ""
         else:
             assert captured.out == ""
@@ -125,7 +144,9 @@ class TestCount:
                             "--piece", "nightrider", "--q", "3", "--n", "1:3",
                             "--format", "json")
         assert code == 3
-        error = json.loads(out)["error"]
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        error = data["error"]
         assert error["type"] == "CapacityError"
         assert error["message"].startswith("alpha envelope ")
         assert set(error["context"]) == {"n", "envelope", "budget"}
@@ -156,6 +177,27 @@ class TestCount:
         assert perf_counter() - start < 5
         assert code == 2
         assert err == f"error: bad rational number: {number!r}\n"
+
+
+# ``bounds`` reports its refusals as null fields and no command sets
+# ``max_flats``, so these payloads come from the handler ``main`` uses.
+@pytest.mark.parametrize("refuse, quantity", [
+    (lambda: bounds.denominator(piece_from_text("queen"),
+                                BoardPolygon.square(), 2, budget=1),
+     "systems"),
+    (lambda: bounds.lcmd_direct(
+        bounds.attack_rows(piece_from_text("queen"), 2), budget=1),
+     "minors"),
+    (lambda: intersection_semilattice(piece_from_text("queen"), 2,
+                                      max_flats=3), "flats"),
+], ids=["systems", "minors", "flats"])
+def test_library_refusals_match_error_schema(capsys, refuse, quantity):
+    with pytest.raises(CapacityError) as exc:
+        refuse()
+    _error(Namespace(format="json"), exc.value)
+    data = json.loads(capsys.readouterr().out)
+    validate(data, "error.schema.json")
+    assert set(data["error"]["context"]) == {quantity, "budget"}
 
 
 class TestFit:

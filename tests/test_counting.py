@@ -1,11 +1,16 @@
 import json
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from conftest import RANDOM_BOARDS, random_pieces
+from hypothesis import given, settings, strategies as st
 
 from riderpoly.counting import (
+    ConfigType,
     CountTable,
+    attack_keys,
     census_types,
     count_nonattacking,
     count_series,
@@ -139,3 +144,65 @@ class TestCensus:
         combos = list(iter_nonattacking(queen, square, 2, 3))
         assert len(combos) == 8
         assert all(a < b for a, b in combos)
+
+
+def reference_type(positions, ms):
+    """The left masks read off the attack keys pair by pair, without a
+    comparison signature."""
+    keys = attack_keys(ms, positions)
+    q = len(positions)
+    for a, b in combinations(range(q), 2):
+        if any(col[a] == col[b] for col in keys):
+            raise AttackingConfigurationError(f"pieces {a} and {b} attack")
+    return ConfigType(tuple(
+        tuple(sum(1 << j for j in range(q) if col[j] > col[i]) for col in keys)
+        for i in range(q)))
+
+
+def reference_census(ms, board, q, n):
+    """The census that types every placement: one ``labelled_type_of`` per
+    placement, each new orbit expanded into its labelled types."""
+    canon_cache = {}
+    unlabelled, labelled = set(), set()
+    perms = list(permutations(range(q)))
+    for positions in iter_nonattacking(ms, board, q, n):
+        ctype = labelled_type_of(Configuration(positions), ms)
+        canon = canon_cache.get(ctype.left)
+        if canon is None:
+            orbit = {ctype.relabelled(perm).left for perm in perms}
+            canon = min(orbit)
+            for member in orbit:
+                canon_cache[member] = canon
+            labelled.update(orbit)
+        unlabelled.add(canon)
+    return len(labelled), len(unlabelled)
+
+
+@pytest.mark.parametrize("board_text", RANDOM_BOARDS)
+@settings(max_examples=15, deadline=None)
+@given(ms=random_pieces(), q=st.integers(1, 4), data=st.data())
+def test_census_matches_per_placement_reference(board_text, ms, q, data):
+    board = board_from_text(board_text)
+    n = data.draw(st.integers(1, 4 if q == 4 else 6), label="n")
+    labelled, unlabelled = census_types(ms, board, q, n)
+    assert (labelled, unlabelled) == reference_census(ms, board, q, n)
+    # Every region orders the pieces totally along each move, so no
+    # relabelling but the identity fixes a type.
+    assert labelled == factorial(q) * unlabelled
+
+
+@pytest.mark.parametrize("board_text", RANDOM_BOARDS)
+@settings(max_examples=25, deadline=None)
+@given(ms=random_pieces(), data=st.data())
+def test_labelled_type_matches_reference(board_text, ms, data):
+    # Placements drawn with repeats and attacks: both must be refused.
+    cells = interior_lattice_points(board_from_text(board_text), 5)
+    positions = tuple(data.draw(st.lists(st.sampled_from(cells), min_size=1,
+                                         max_size=4), label="positions"))
+    try:
+        expected = reference_type(positions, ms)
+    except AttackingConfigurationError:
+        with pytest.raises(AttackingConfigurationError):
+            labelled_type_of(Configuration(positions), ms)
+    else:
+        assert labelled_type_of(Configuration(positions), ms) == expected

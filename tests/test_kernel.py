@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from conftest import RANDOM_BOARDS, random_pieces
+from hypothesis import given, settings, strategies as st
 
 from riderpoly import kernel
 from riderpoly.counting import attack_keys, count_nonattacking, iter_nonattacking
@@ -61,6 +63,19 @@ def test_kernel_matches_unpruned_oracle_on_triangle(name):
     check_kernel_against_oracle(name, TRIANGLE)
 
 
+@pytest.mark.parametrize("board_text", RANDOM_BOARDS)
+@settings(max_examples=25, deadline=None)
+@given(ms=random_pieces(), q=st.integers(2, 4), data=st.data())
+def test_kernel_matches_unpruned_oracle_on_random_pieces(board_text, ms, q,
+                                                        data):
+    board = board_from_text(board_text)
+    # The oracle tests every q-subset, so n stays small as q grows.
+    n = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[q]), label="n")
+    keys = attack_keys(ms, interior_lattice_points(board, n + 1))
+    assert (kernel.count_nonattacking_subsets(keys, q)
+            == naive_count(ms, board, q, n))
+
+
 @pytest.mark.parametrize("board_text", BOARDS)
 @pytest.mark.parametrize("name", ALL_PIECES)
 def test_iteration_matches_oracle_in_lexicographic_order(name, board_text):
@@ -75,6 +90,8 @@ def test_trivial_cases():
     assert kernel.count_nonattacking_subsets([], 0) == 1
     assert kernel.count_nonattacking_subsets([[1, 2, 3]], 0) == 1
     assert kernel.count_nonattacking_subsets([[1, 2, 3]], 1) == 3
+    assert kernel.count_nonattacking_subsets([], 2) == 0
+    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 2) == 3
     assert kernel.count_nonattacking_subsets([[1, 2, 3]], 4) == 0
     # three cells on one line: no nonattacking pair
     assert kernel.count_nonattacking_subsets([[7, 7, 7]], 2) == 0
