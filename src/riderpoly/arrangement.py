@@ -23,9 +23,9 @@ from itertools import combinations, permutations
 
 from .counting import DEFAULT_BUDGET, check_board_walk
 from .errors import CapacityError, Record
-from .flatcount import count_flat, geometry_at
+from .flatcount import count_flat, geometry_at, slope_components
 from .geometry import BoardPolygon, MoveSet
-from .linalg import canonical_int_rows, insert_row
+from .linalg import insert_row
 
 
 class Hyperplane(Record, frozen=True):
@@ -118,12 +118,11 @@ class Semilattice:
     state and is keyed by values, so concurrent reads stay consistent.
     """
 
-    def __init__(self, ms: MoveSet, q: int, hyperplanes, flats, by_key):
+    def __init__(self, ms: MoveSet, q: int, hyperplanes, flats):
         self.ms = ms
         self.q = q
         self.hyperplanes = hyperplanes
         self.flats = flats
-        self._by_key = by_key
         self.iso_classes: list[IsoClass] = []
         self._alpha_cache: dict = {}
 
@@ -131,16 +130,13 @@ class Semilattice:
     def bottom(self) -> Flat:
         return self.flats[0]
 
-    def flat_by_rows(self, rows) -> Flat:
-        key = canonical_int_rows(rows)
-        if key not in self._by_key:
-            raise KeyError("no flat with the given row space")
-        return self.flats[self._by_key[key]]
-
     def flat_of_hyperplanes(self, hyperplane_ids) -> Flat:
-        rows = [hyperplane_row(self.hyperplanes[h], self.ms, self.q)
-                for h in hyperplane_ids]
-        return self.flat_by_rows(rows)
+        """The intersection of the given hyperplanes: the first flat, in
+        codimension order, whose mask contains them all."""
+        mask = sum({1 << h for h in hyperplane_ids})
+        if mask >> len(self.hyperplanes):
+            raise KeyError("a hyperplane id is outside the arrangement")
+        return next(f for f in self.flats if f.mask & mask == mask)
 
     def hyperplane_index(self, i: int, j: int, move_index: int) -> int:
         if i > j:
@@ -206,9 +202,8 @@ def intersection_semilattice(ms: MoveSet, q: int,
         involved = sorted({c // 2 for row in rows
                            for c, x in enumerate(row) if x != 0})
         flats.append(Flat(fid, rows, mask, members, tuple(involved), edges))
-    by_key = {rows: fid for fid, rows in enumerate(ordered)}
 
-    sl = Semilattice(ms, q, hyps, flats, by_key)
+    sl = Semilattice(ms, q, hyps, flats)
     _compute_mobius(sl)
     _compute_iso_classes(sl)
     return sl
@@ -287,13 +282,7 @@ def is_connected(flat: Flat) -> bool:
     Mobius values and lattice-point counts multiply over the components,
     so only connected flats enter the exponential-formula assembly.
     """
-    if not flat.involved:
-        return False
-    reached = {flat.involved[0]}
-    for _ in flat.involved:
-        reached.update(p for i, j, _r in flat.edges
-                       if i in reached or j in reached for p in (i, j))
-    return len(reached) == flat.kappa
+    return len(slope_components(flat)) == 1
 
 
 def w_slope_flat(sl: Semilattice, pieces, move_index: int) -> Flat:

@@ -20,7 +20,12 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .arrangement import Flat, intersection_semilattice
+from .arrangement import (
+    Flat,
+    build_move_arrangement,
+    hyperplane_row,
+    intersection_semilattice,
+)
 from .errors import CapacityError, MoveSetError
 from .geometry import BoardPolygon, MoveSet
 from .linalg import bareiss_determinant, insert_row
@@ -55,15 +60,10 @@ def kron(a, b) -> tuple[tuple[int, ...], ...]:
 
 
 def attack_rows(ms: MoveSet, q: int) -> tuple[tuple[int, ...], ...]:
-    """The top block of the grand matrix (equals eta_transpose(q) kron M)."""
-    rows = []
-    for i, j in combinations(range(q), 2):
-        for m in ms:
-            row = [0] * (2 * q)
-            row[2 * i], row[2 * i + 1] = m.d, -m.c
-            row[2 * j], row[2 * j + 1] = -m.d, m.c
-            rows.append(tuple(row))
-    return tuple(rows)
+    """The top block of the grand matrix (equals eta_transpose(q) kron M):
+    the move hyperplanes' rows, negated."""
+    return tuple(tuple(-x for x in hyperplane_row(h, ms, q))
+                 for h in build_move_arrangement(ms, q))
 
 
 def board_rows(board: BoardPolygon, k: int) -> list[tuple[tuple[int, ...], int]]:

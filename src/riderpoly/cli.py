@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import factorial
 
 from . import bounds as bounds_mod
 from . import quasipoly as qp
 from .arrangement import intersection_semilattice, semilattice_report
-from .counting import DEFAULT_BUDGET, census_types, count_series
+from .counting import DEFAULT_BUDGET, census_types, check_range, count_series
 from .errors import CapacityError, RiderPolyError
 from .geometry import board_from_text, piece_from_text
 from .symbolic import reconstruction_series
@@ -49,12 +48,8 @@ def cmd_count(args) -> int:
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     n_from, n_to = _parse_range("--n", args.n)
+    check_range(n_from, n_to)   # before the closure is built
     if args.method == "reconstruction":
-        # reconstruction_series' checks, made before the closure is built
-        if n_from > n_to:
-            raise ValueError("n_from must not exceed n_to")
-        if n_from < 0:
-            raise ValueError("n must be nonnegative")
         sl = intersection_semilattice(ms, args.q)
         table = reconstruction_series(sl, board, n_from, n_to,
                                       budget=args.budget)
@@ -73,15 +68,18 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _check_fit_options(args) -> None:
-    if args.period is not None and args.period < 1:
-        raise RiderPolyError(f"--period must be at least 1, got {args.period}")
-    if args.degree is not None and args.degree < 0:
-        raise RiderPolyError(f"--degree must be at least 0, got {args.degree}")
+def _check_options(args) -> None:
+    """Refuse a numeric option below 1, before any work."""
+    for name in ("period", "p_max", "denominator_bound", "budget",
+                 "system_budget", "minor_budget", "observe_period_n"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            option = "--" + name.replace("_", "-")
+            raise RiderPolyError(f"{option} must be at least 1, got {value}")
 
 
 def _fit_table(args, ms, board, table):
-    degree = 2 * args.q if args.degree is None else args.degree
+    degree = 2 * args.q
     if args.period is None:
         period = qp.detect_period(table, degree, args.p_max,
                                   denominator_bound=args.denominator_bound,
@@ -93,7 +91,6 @@ def _fit_table(args, ms, board, table):
 
 
 def cmd_fit(args) -> int:
-    _check_fit_options(args)
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     n_from, n_to = _parse_range("--n", args.n)
@@ -121,7 +118,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_types(args) -> int:
-    _check_fit_options(args)
     c_from, c_to = (_parse_range("--census", args.census)
                     if args.census else (1, 0))
     if args.census and c_from > c_to:
@@ -180,9 +176,6 @@ def cmd_mobius(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.observe_period_n is not None and args.observe_period_n < 1:
-        raise RiderPolyError(
-            f"--observe-period-n must be at least 1, got {args.observe_period_n}")
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     report = bounds_mod.bounds_report(
@@ -231,11 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--format", choices=("pretty", "json", "csv"),
                        default="pretty")
-        p.add_argument("--budget", type=int,
-                       default=int(os.environ.get("RIDERPOLY_BUDGET",
-                                                  DEFAULT_BUDGET)),
-                       help="elementary attack-test budget "
-                            "(env RIDERPOLY_BUDGET)")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="elementary attack-test budget")
 
     p_count = sub.add_parser("count", help="exact count table")
     common(p_count)
@@ -250,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fix the period instead of detecting it")
         p.add_argument("--p-max", type=int, default=8)
         p.add_argument("--denominator-bound", type=int, default=None)
-        p.add_argument("--degree", type=int, default=None,
-                       help="fit degree (default 2q)")
         p.add_argument("--column", choices=("unlabelled", "labelled"),
                        default="unlabelled")
 
@@ -295,6 +283,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except CapacityError as exc:
         _error(args, exc)

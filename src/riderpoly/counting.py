@@ -48,11 +48,21 @@ def check_board_walk(board: BoardPolygon, n: int, budget: int) -> None:
             n=n, cells=cells, budget=budget)
 
 
+def check_range(n_from: int, n_to: int) -> None:
+    """Refuse a reversed range of board sizes, and a negative n."""
+    if n_from > n_to:
+        raise ValueError("n_from must not exceed n_to")
+    if n_from < 0:
+        raise ValueError("n must be nonnegative")
+
+
 def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
     """The cells at size n, once the walk and the search fit the budget.
 
     The walk is checked before it starts; the search envelope after it.
     """
+    if q < 1:
+        raise ValueError("q must be positive")
     check_board_walk(board, n, budget)
     points = interior_lattice_points(board, n + 1)
     envelope = len(points) ** min(q, 3)
@@ -72,8 +82,7 @@ def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_range(n, n)
     if q == 0:
         return 1, 1
     points = _budgeted_points(board, q, n, budget)
@@ -111,9 +120,6 @@ class CountTable(Record):
     def unlabelled(self, n: int) -> int:
         return self.rows[n][1]
 
-    def labelled(self, n: int) -> int:
-        return self.rows[n][0]
-
     def column(self, name: str) -> dict[int, int]:
         idx = {"labelled": 0, "unlabelled": 1}[name]
         return {n: pair[idx] for n, pair in self.rows.items()}
@@ -149,12 +155,10 @@ def count_series(ms: MoveSet, board: BoardPolygon, q: int,
 
     Capacity errors carry the offending n.
     """
-    if n_from > n_to:
-        raise ValueError("n_from must not exceed n_to")
+    check_range(n_from, n_to)
     rows = {n: count_nonattacking(ms, board, q, n, budget)
             for n in range(n_from, n_to + 1)}
-    return CountTable(piece=ms.label, board=board, q=q,
-                      rows=rows, method=METHOD_BRUTE_FORCE)
+    return CountTable(ms.label, board, q, rows)
 
 
 def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
@@ -163,8 +167,6 @@ def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
 
     Subsets come in lexicographic order of their cell indices.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
     points = _budgeted_points(board, q, n, budget)
     for combo in kernel.iter_nonattacking_subsets(attack_keys(ms, points), q):
         yield tuple(points[i] for i in combo)
@@ -264,8 +266,6 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     follows from its comparison signature, so the type, its orbit and its
     canonical member are built once per distinct signature.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
     points = _budgeted_points(board, q, n, budget)
     keys = attack_keys(ms, points)
     cell_keys = list(zip(*keys))

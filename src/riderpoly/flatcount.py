@@ -82,29 +82,40 @@ def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int,
             f"alpha envelope {envelope} exceeds budget {budget}",
             n=n, envelope=envelope, budget=budget)
 
+    result = 1
+    for nodes, edges, adjacency in slope_components(flat):
+        if len(edges) == len(nodes) - 1:
+            result *= _count_tree(geo, nodes, adjacency)
+        else:
+            result *= _count_generic(ms, geo, nodes, adjacency)
+        if result == 0:
+            return 0
+    return result
+
+
+def slope_components(flat) -> list:
+    """The connected components of the flat's slope graph, on groups.
+
+    Pieces forced to coincide (two distinct slopes through one pair)
+    form one group.  A closed flat lists every move hyperplane it lies
+    in, so coincidence is transitive and a group is named by its least
+    local piece index.  Returns one (groups, edges, adjacency) triple per
+    component: ``edges`` maps a pair of groups to its move, and
+    ``adjacency``, shared by all components, maps a group to its
+    (neighbour, move) pairs.
+    """
     local = {piece: a for a, piece in enumerate(flat.involved)}
     pair_slopes: dict[tuple[int, int], set[int]] = {}
     for i, j, r in flat.edges:
         pair_slopes.setdefault((local[i], local[j]), set()).add(r)
-
-    # Pieces forced to coincide (two distinct slopes through one pair)
-    # collapse into one group; a closed flat always lists every move
-    # hyperplane it lies in, so direct pair inspection finds all of them.
-    parent = list(range(kappa))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    group = list(range(flat.kappa))
     for (a, b), slopes in pair_slopes.items():
         if len(slopes) >= 2:
-            parent[find(a)] = find(b)
+            group[b] = min(group[b], a)
 
     group_edges: dict[tuple[int, int], int] = {}
     for (a, b), slopes in pair_slopes.items():
-        ga, gb = find(a), find(b)
+        ga, gb = group[a], group[b]
         if ga == gb:
             continue
         key = (min(ga, gb), max(ga, gb))
@@ -115,15 +126,14 @@ def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int,
                                "between non-coincident groups")
         group_edges[key] = move
 
-    groups = sorted({find(a) for a in range(kappa)})
-    adjacency = {g: [] for g in groups}
+    adjacency = {g: [] for g in sorted(set(group))}
     for (ga, gb), move in group_edges.items():
         adjacency[ga].append((gb, move))
         adjacency[gb].append((ga, move))
 
     seen: set[int] = set()
-    result = 1
-    for start in groups:
+    components = []
+    for start in adjacency:
         if start in seen:
             continue
         comp = []
@@ -137,19 +147,11 @@ def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int,
             stack.extend(u for u, _ in adjacency[v] if u not in seen)
         comp_edges = {key: move for key, move in group_edges.items()
                       if key[0] in comp}
-        result *= _count_component(ms, geo, comp, comp_edges, adjacency)
-        if result == 0:
-            return 0
-    return result
+        components.append((comp, comp_edges, adjacency))
+    return components
 
 
-def _count_component(ms, geo: _PointGeometry, nodes, edges, adjacency) -> int:
-    if len(edges) == len(nodes) - 1:
-        return _count_tree(ms, geo, nodes, adjacency)
-    return _count_generic(ms, geo, nodes, edges)
-
-
-def _count_tree(ms, geo: _PointGeometry, nodes, adjacency) -> int:
+def _count_tree(geo: _PointGeometry, nodes, adjacency) -> int:
     """Sum-product over a tree of line constraints, O(edges * cells).
 
     value[v][p] = number of ways to place v's subtree with v at cell p;
@@ -184,17 +186,13 @@ def _count_tree(ms, geo: _PointGeometry, nodes, adjacency) -> int:
     return sum(value[root])
 
 
-def _count_generic(ms, geo: _PointGeometry, nodes, edges) -> int:
+def _count_generic(ms, geo: _PointGeometry, nodes, neighbors) -> int:
     """Place groups one at a time; a group on two known lines is determined.
 
     When the second-to-last group runs along one line and the last group
     is fixed by two, the two are counted together in closed form
     (``_count_fibre``) instead of cell by cell.
     """
-    neighbors = {v: [] for v in nodes}
-    for (a, b), move in edges.items():
-        neighbors[a].append((b, move))
-        neighbors[b].append((a, move))
     order = [max(nodes, key=lambda v: len(neighbors[v]))]
     placed = {order[0]}
     while len(order) < len(nodes):

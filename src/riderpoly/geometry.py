@@ -46,10 +46,6 @@ class Move(Record, frozen=True):
         """Slope written ``d/c``, the conventional hyperplane label."""
         return f"{self.d}/{self.c}"
 
-    def key(self, x: int, y: int) -> int:
-        """Value of ``d*x - c*y``; constant exactly along this move's lines."""
-        return self.d * x - self.c * y
-
 
 class MoveSet(Record, frozen=True):
     """An ordered set of basic moves with pairwise distinct slopes; a frozen value."""

@@ -4,8 +4,8 @@ All row reduction is one fraction-free Gauss-Jordan step, ``insert_row``:
 rows stay integer, are combined by cross-multiplying and are divided by
 their content.  The semilattice closure extends each flat's stored
 echelon with it, the inside-out vertex scans solve their systems with it,
-and ``canonical_int_rows`` (the key of a row space, used to look a flat
-up by its rows) and ``in_row_space`` are built on it; determinants use
+and ``canonical_int_rows`` (the key of a row space, which the closure's
+keys equal) and ``in_row_space`` are built on it; determinants use
 Bareiss.  There is no floating point and no ``Fraction`` here.
 """
 

@@ -106,9 +106,6 @@ class Quasipolynomial(Record, frozen=True):
         """f(n) for any integer n; n = -1 uses the last constituent."""
         return poly_eval(self.constituents[n % self.period], n)
 
-    def constituent(self, k: int):
-        return self.constituents[k % self.period]
-
     # -- exact algebra -------------------------------------------------
 
     def _aligned(self, other):
@@ -284,7 +281,7 @@ def coefficient(qp: Quasipolynomial, i: int) -> list[Fraction]:
     return [cons[qp.degree - i] for cons in qp.constituents]
 
 
-def types_count(qp: Quasipolynomial, labelled: bool = False) -> int:
+def types_count(qp: Quasipolynomial) -> int:
     """Number of combinatorial configuration types: the value at n = -1.
 
     Uses the last constituent.  A non-integer result means the fit is

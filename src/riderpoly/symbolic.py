@@ -26,6 +26,7 @@ from .counting import (
     METHOD_RECONSTRUCTION,
     CountTable,
     check_board_walk,
+    check_range,
     count_nonattacking,
 )
 from .errors import RiderPolyError
@@ -131,10 +132,7 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
     brute-force route it refuses a reversed range, and a negative n, where
     the quasipolynomial gives reciprocity values, not counts.
     """
-    if n_from > n_to:
-        raise ValueError("n_from must not exceed n_to")
-    if n_from < 0:
-        raise ValueError("n must be nonnegative")
+    check_range(n_from, n_to)
     labelled_qp, _ = reconstruction_quasipolynomials(sl, board, budget)
     fq = factorial(sl.q)
     for n in range(0, cross_check_up_to + 1):

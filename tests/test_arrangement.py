@@ -1,16 +1,16 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
+from random import Random
 
 import pytest
-from conftest import DIRECTIONS
+from conftest import DIRECTIONS, random_pieces
 from hypothesis import given, settings, strategies as st
 
 from riderpoly.arrangement import (
     Flat,
+    IsoClass,
     Semilattice,
-    _compute_iso_classes,
-    _compute_mobius,
     alpha,
     build_move_arrangement,
     hyperplane_row,
@@ -92,10 +92,10 @@ class TestSemilattice:
 
     def test_closure_under_intersection(self, queen_sl3):
         flats = queen_sl3.flats
+        keys = {flat.rows for flat in flats}
         for a in flats:
             for b in flats:
-                key = canonical_int_rows(list(a.rows) + list(b.rows))
-                assert key in queen_sl3._by_key
+                assert canonical_int_rows(list(a.rows) + list(b.rows)) in keys
 
     def test_mobius_recursion(self, queen_sl3):
         # over every interval [bottom, U]: the Mobius values sum to zero
@@ -128,7 +128,9 @@ def reference_semilattice(ms, q):
 
     Each candidate is tested with ``in_row_space`` and then keyed by
     ``canonical_int_rows`` from scratch; masks come from a final
-    ``in_row_space`` pass over every (flat, hyperplane) pair.
+    ``in_row_space`` pass over every (flat, hyperplane) pair.  Mobius
+    values, automorphism counts and iso classes are computed here too, by
+    the defining recursion and by relabelling the involved pieces.
     """
     hyps = build_move_arrangement(ms, q)
     hrows = [hyperplane_row(h, ms, q) for h in hyps]
@@ -154,10 +156,31 @@ def reference_semilattice(ms, q):
                           members, tuple(involved),
                           tuple((hyps[h].i, hyps[h].j, hyps[h].move_index)
                                 for h in members)))
-    sl = Semilattice(ms, q, hyps, flats,
-                     {rows: fid for fid, rows in enumerate(ordered)})
-    _compute_mobius(sl)
-    _compute_iso_classes(sl)
+    for u in flats:
+        # mu(bottom, U) = -(sum of mu over the flats strictly containing U);
+        # V contains U exactly when V's hyperplanes are among U's.
+        u.mobius = -sum(v.mobius for v in flats[:u.id]
+                        if v.mask | u.mask == u.mask) if u.id else 1
+        # Relabel the involved pieces 0..kappa-1 in every order; the key is
+        # the least relabelled edge list, |Aut| the orders that fix it.
+        labelled = []
+        for order in permutations(u.involved):
+            label = {piece: a for a, piece in enumerate(order)}
+            labelled.append(tuple(sorted(
+                (*sorted((label[i], label[j])), r) for i, j, r in u.edges)))
+        u.iso_key = (u.kappa, min(labelled))
+        u.aut_order = labelled.count(labelled[0])
+    members = {}
+    for u in flats:
+        members.setdefault(u.iso_key, []).append(u.id)
+    sl = Semilattice(ms, q, hyps, flats)
+    for cid, key in enumerate(sorted(members)):
+        rep = flats[members[key][0]]
+        sl.iso_classes.append(IsoClass(cid, key, rep.kappa, rep.codim,
+                                       rep.mobius, rep.aut_order, rep.id,
+                                       tuple(members[key])))
+        for fid in members[key]:
+            flats[fid].iso_class = cid
     return sl
 
 
@@ -168,25 +191,37 @@ def assert_same_semilattice(sl, ref):
     for flat, expected in zip(sl.flats, ref.flats):
         assert ([getattr(flat, f) for f in fields]
                 == [getattr(expected, f) for f in fields]), flat
-    assert sl._by_key == ref._by_key
     assert sl.iso_classes == ref.iso_classes
+
+
+def assert_flat_lookup(sl, subsets=300):
+    """``flat_of_hyperplanes`` finds a flat by its mask; check it against
+    the flat with the canonical row key of the hyperplanes' rows."""
+    by_rows = {flat.rows: flat for flat in sl.flats}
+    hrows = [hyperplane_row(h, sl.ms, sl.q) for h in sl.hyperplanes]
+    rng = Random(len(sl.flats))
+    for _ in range(subsets):
+        hids = rng.sample(range(len(hrows)), rng.randint(0, len(hrows)))
+        key = canonical_int_rows([hrows[h] for h in hids])
+        assert sl.flat_of_hyperplanes(hids) is by_rows[key], hids
 
 
 class TestClosureParity:
     @settings(max_examples=30, deadline=None)
-    @given(moves=st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=4,
-                          unique=True),
-           q=st.integers(1, 3))
-    def test_matches_double_elimination(self, moves, q):
-        ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
-        assert_same_semilattice(intersection_semilattice(ms, q),
-                                reference_semilattice(ms, q))
+    @given(ms=random_pieces(), q=st.integers(1, 3))
+    def test_matches_double_elimination(self, ms, q):
+        sl = intersection_semilattice(ms, q)
+        assert_same_semilattice(sl, reference_semilattice(ms, q))
+        assert_flat_lookup(sl)
+        assert_predicate_matches_splitter(sl)
 
     @pytest.mark.parametrize("name", ["queen", "rook", "nightrider"])
     def test_matches_double_elimination_q4(self, name):
         ms = piece_from_text(name)
-        assert_same_semilattice(intersection_semilattice(ms, 4),
-                                reference_semilattice(ms, 4))
+        sl = intersection_semilattice(ms, 4)
+        assert_same_semilattice(sl, reference_semilattice(ms, 4))
+        if name == "queen":
+            assert_flat_lookup(sl)
 
 
 class TestNamedFlats:
@@ -216,7 +251,7 @@ class TestNamedFlats:
 
     def test_unknown_flat_rejected(self, queen_sl2):
         with pytest.raises(KeyError):
-            queen_sl2.flat_by_rows([(1, 0, 0, 0)])
+            queen_sl2.flat_of_hyperplanes([0, len(queen_sl2.hyperplanes)])
 
 
 def split_components(sl, flat):
@@ -241,6 +276,12 @@ def split_components(sl, flat):
     return parts
 
 
+def assert_predicate_matches_splitter(sl):
+    for flat in sl.flats:
+        assert is_connected(flat) == (
+            len(split_components(sl, flat)) == 1), flat
+
+
 class TestComponents:
     def test_disjoint_pairs_split(self, bishop_sl4):
         sl = bishop_sl4
@@ -263,10 +304,7 @@ class TestComponents:
 
     @pytest.mark.parametrize("fixture", ["queen_sl4", "bishop_sl4"])
     def test_predicate_matches_splitter(self, fixture, request):
-        sl = request.getfixturevalue(fixture)
-        for flat in sl.flats:
-            assert is_connected(flat) == (
-                len(split_components(sl, flat)) == 1), flat
+        assert_predicate_matches_splitter(request.getfixturevalue(fixture))
 
     def test_mobius_and_alpha_multiplicativity(self, bishop_sl4, square):
         # The exponential-formula assembly rests on both products.

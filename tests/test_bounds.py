@@ -8,7 +8,11 @@ from conftest import DIRECTIONS
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import bounds
-from riderpoly.arrangement import intersection_semilattice
+from riderpoly.arrangement import (
+    build_move_arrangement,
+    hyperplane_row,
+    intersection_semilattice,
+)
 from riderpoly.errors import CapacityError, MoveSetError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.linalg import bareiss_determinant
@@ -44,9 +48,16 @@ class TestGrandMatrix:
         assert as_set == identity
 
     @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_kronecker_identity(self, nightrider, q):
-        assert bounds.attack_rows(nightrider, q) == bounds.kron(
-            bounds.eta_transpose(q), bounds.moves_matrix(nightrider))
+    def test_kronecker_identity(self, q):
+        for name in ("queen", "rook", "bishop", "nightrider", "semiqueen",
+                     "-1,2;-2,1;1,1"):
+            ms = piece_from_text(name)
+            rows = bounds.attack_rows(ms, q)
+            assert rows == bounds.kron(bounds.eta_transpose(q),
+                                       bounds.moves_matrix(ms)), name
+            # The move hyperplanes' rows, negated, in the same order.
+            assert rows == tuple(tuple(-x for x in hyperplane_row(h, ms, q))
+                                 for h in build_move_arrangement(ms, q)), name
 
 
 class TestDenominator:

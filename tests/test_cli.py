@@ -222,20 +222,11 @@ class TestFit:
                           "--n", "1:5")
         assert code == 2
 
-    def test_degree_zero_is_fitted_not_replaced(self, capsys):
-        code = main(["fit", "--piece", "queen", "--q", "2", "--n", "1:10",
-                     "--degree", "0", "--period", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: period 1 rejected")
-
     @pytest.mark.parametrize("command", ["fit", "types"])
     @pytest.mark.parametrize("option, value, message", [
         ("--period", "0", "error: --period must be at least 1, got 0\n"),
         ("--period", "-2", "error: --period must be at least 1, got -2\n"),
-        ("--degree", "-1", "error: --degree must be at least 0, got -1\n"),
-    ], ids=["period-zero", "period-negative", "degree-negative"])
+    ], ids=["period-zero", "period-negative"])
     def test_bad_period_or_degree_is_usage_error(self, capsys, command,
                                                  option, value, message):
         code = main([command, "--piece", "queen", "--q", "2", "--n", "1:10",
@@ -244,6 +235,29 @@ class TestFit:
         assert code == 2
         assert captured.out == ""
         assert captured.err == message
+
+
+# Checked before any work: a p-max or denominator bound of 0 used to leave
+# no candidate period, -2 was read as its divisors, a negative budget was
+# refused only by the walk, and a negative system budget reported nulls.
+@pytest.mark.parametrize("argv, option, value", [
+    ("fit --n 1:10 --p-max 0", "--p-max", "0"),
+    ("fit --n 1:10 --denominator-bound 0", "--denominator-bound", "0"),
+    ("fit --n 1:10 --denominator-bound -2", "--denominator-bound", "-2"),
+    ("types --n 1:10 --p-max -1", "--p-max", "-1"),
+    ("count --n 1 --budget -5", "--budget", "-5"),
+    ("bounds --system-budget -1", "--system-budget", "-1"),
+    ("bounds --minor-budget 0", "--minor-budget", "0"),
+], ids=["p-max-zero", "denominator-bound-zero", "denominator-bound-negative",
+        "types-p-max-negative", "budget-negative", "system-budget-negative",
+        "minor-budget-zero"])
+def test_numeric_option_below_one_is_usage_error(capsys, argv, option, value):
+    command, *rest = argv.split()
+    code = main([command, "--piece", "queen", "--q", "2", *rest])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be at least 1, got {value}\n"
 
 
 class TestTypes:

@@ -99,8 +99,7 @@ class TestEvaluate:
 
     def test_labelled_and_unlabelled_type_counts_agree(self, two_nightriders):
         unlab = qp.types_count(qp.fit(two_nightriders, 2, 4))
-        lab = qp.types_count(qp.fit(two_nightriders, 2, 4, column="labelled"),
-                             labelled=True)
+        lab = qp.types_count(qp.fit(two_nightriders, 2, 4, column="labelled"))
         assert lab == 2 * unlab == 8
 
 
