@@ -41,8 +41,8 @@ class Hyperplane(Record, frozen=True):
 
 def build_move_arrangement(ms: MoveSet, q: int) -> list[Hyperplane]:
     """All C(q,2)*|M| move hyperplanes, pair-major in lexicographic order."""
-    if q < 1:
-        raise ValueError("an arrangement needs at least one piece")
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     return [Hyperplane(i, j, r)
             for i, j in combinations(range(q), 2)
             for r in range(len(ms))]
@@ -62,15 +62,14 @@ def hyperplane_row(h: Hyperplane, ms: MoveSet, q: int) -> tuple[int, ...]:
 class Flat:
     """An intersection subspace: equations, membership, slope graph."""
 
-    __slots__ = ("id", "rows", "codim", "mask", "hyperplanes", "involved",
+    __slots__ = ("id", "rows", "codim", "mask", "involved",
                  "edges", "mobius", "iso_key", "aut_order", "iso_class")
 
-    def __init__(self, fid, rows, mask, hyperplanes, involved, edges):
+    def __init__(self, fid, rows, mask, involved, edges):
         self.id = fid
         self.rows = rows                  # canonical integer row basis
         self.codim = len(rows)
         self.mask = mask                  # bitmask over hyperplane indices
-        self.hyperplanes = hyperplanes    # tuple of member hyperplane indices
         self.involved = involved          # tuple of involved piece indices
         self.edges = edges                # tuple of (i, j, move_index)
         self.mobius = None
@@ -114,8 +113,7 @@ class Semilattice:
     """The intersection semilattice of a move arrangement.
 
     Flat 0 is the bottom element (all of R^{2q}).  The structure is
-    immutable once built; the alpha cache is the only internal mutable
-    state and is keyed by values, so concurrent reads stay consistent.
+    immutable once built.
     """
 
     def __init__(self, ms: MoveSet, q: int, hyperplanes, flats):
@@ -124,7 +122,6 @@ class Semilattice:
         self.hyperplanes = hyperplanes
         self.flats = flats
         self.iso_classes: list[IsoClass] = []
-        self._alpha_cache: dict = {}
 
     @property
     def bottom(self) -> Flat:
@@ -196,12 +193,11 @@ def intersection_semilattice(ms: MoveSet, q: int,
     flats = []
     for fid, rows in enumerate(ordered):
         mask = masks[by_key[rows]]
-        members = tuple(hid for hid in range(len(hyps)) if mask >> hid & 1)
-        edges = tuple((hyps[hid].i, hyps[hid].j, hyps[hid].move_index)
-                      for hid in members)
+        edges = tuple((h.i, h.j, h.move_index)
+                      for hid, h in enumerate(hyps) if mask >> hid & 1)
         involved = sorted({c // 2 for row in rows
                            for c, x in enumerate(row) if x != 0})
-        flats.append(Flat(fid, rows, mask, members, tuple(involved), edges))
+        flats.append(Flat(fid, rows, mask, tuple(involved), edges))
 
     sl = Semilattice(ms, q, hyps, flats)
     _compute_mobius(sl)
@@ -224,13 +220,6 @@ def _compute_mobius(sl: Semilattice) -> None:
             if other.mask & fmask == other.mask:
                 total += other.mobius
         flat.mobius = -total
-
-
-def mobius(sl: Semilattice, flat_id: int) -> int:
-    """Mobius value mu(bottom, U) of the flat with the given id."""
-    if not 0 <= flat_id < len(sl.flats):
-        raise KeyError(f"unknown flat id {flat_id}")
-    return sl.flats[flat_id].mobius
 
 
 def _local_edges(flat: Flat) -> tuple:
@@ -269,11 +258,6 @@ def _compute_iso_classes(sl: Semilattice) -> None:
             representative=rep.id, members=tuple(members)))
         for fid in members:
             sl.flats[fid].iso_class = cid
-
-
-def iso_classes(sl: Semilattice) -> list[IsoClass]:
-    """Partition of the flats into slope-graph isomorphism classes."""
-    return sl.iso_classes
 
 
 def is_connected(flat: Flat) -> bool:
@@ -347,17 +331,11 @@ def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
     number of such tuples in the *closed* t-fold dilate (L(0) = 1).
 
     Enumerates over the essential coordinates only: pieces the flat does
-    not involve contribute no factor here.  Isomorphic flats share one
-    cached value per (board, n).
+    not involve contribute no factor here.
     """
-    cache_key = (flat.iso_key, board, n)
-    cached = sl._alpha_cache.get(cache_key)
-    if cached is not None:
-        return cached
     value = count_flat(sl.ms, flat, board, n, budget)
     if n < 0 and flat.codim % 2:
         value = -value      # (-1)^d with d = 2*kappa - codim
-    sl._alpha_cache[cache_key] = value
     return value
 
 
@@ -365,17 +343,19 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
                       budget: int = DEFAULT_BUDGET) -> int:
     """Labelled nonattacking count by Mobius inclusion-exclusion over flats.
 
-    Sums mu(U) * alpha(U; n) * N^(q - kappa(U)) over every flat; must equal
-    q! times the enumerator's unlabelled count.  A negative n gives the
-    counting quasipolynomial's value there (see ``alpha``): at n = -1 it is
+    Sums mu(U) * alpha(U; n) * N^(q - kappa(U)) over the flats U, one term
+    per iso class times its size: isomorphic flats differ by a relabelling
+    of pieces, so they share mu, kappa and alpha.  Must equal q! times the
+    enumerator's unlabelled count.  A negative n gives the counting
+    quasipolynomial's value there (see ``alpha``): at n = -1 it is
     sum mu(U) * (-1)^codim(U), q! times the number of configuration types.
     """
     check_board_walk(board, n, budget)
-    geo = geometry_at(sl.ms, board, n)
-    npts = len(geo.points)
+    npts = len(geometry_at(sl.ms, board, n).points)
     total = 0
-    for flat in sl.flats:
-        total += (flat.mobius
-                  * alpha(sl, flat, board, n, budget)
-                  * npts ** (sl.q - flat.kappa))
+    for cls in sl.iso_classes:
+        rep = sl.flats[cls.representative]
+        total += (cls.size * cls.mobius
+                  * alpha(sl, rep, board, n, budget)
+                  * npts ** (sl.q - cls.kappa))
     return total

@@ -260,11 +260,6 @@ def lcmd_direct(matrix, order: int | None = None,
     return result
 
 
-def lcmd_of_matrix(matrix) -> int:
-    """lcm of all nonzero entries and subdeterminants, no budget gate."""
-    return lcmd_direct(matrix, budget=10**9)
-
-
 def lcmd_closed_form_two_moves(ms: MoveSet, q: int) -> int:
     """Closed-form lcmd of the attack block for a two-move piece.
 

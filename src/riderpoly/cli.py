@@ -78,16 +78,14 @@ def _check_options(args) -> None:
             raise RiderPolyError(f"{option} must be at least 1, got {value}")
 
 
-def _fit_table(args, ms, board, table):
-    degree = 2 * args.q
+def _fit_table(args, table):
     if args.period is None:
-        period = qp.detect_period(table, degree, args.p_max,
+        period = qp.detect_period(table, args.p_max,
                                   denominator_bound=args.denominator_bound,
                                   column=args.column)
     else:
         period = args.period
-    fitted = qp.fit(table, period, degree, column=args.column)
-    return fitted, period, degree
+    return qp.fit(table, period, column=args.column), period
 
 
 def cmd_fit(args) -> int:
@@ -96,7 +94,7 @@ def cmd_fit(args) -> int:
     n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
-    fitted, period, degree = _fit_table(args, ms, board, table)
+    fitted, period = _fit_table(args, table)
     label = f"empirically verified on n in [{n_from},{n_to}]"
     data = {
         "piece": ms.label,
@@ -104,14 +102,14 @@ def cmd_fit(args) -> int:
         "q": args.q,
         "column": args.column,
         "period": period,
-        "degree": degree,
+        "degree": fitted.degree,
         "quasipolynomial": fitted.to_json_dict(),
         "verified_on": [n_from, n_to],
         "label": label,
     }
     _emit(args, data, [
         f"{ms.label} on {board.as_text()}, q={args.q}, column {args.column}",
-        f"period {period}, degree {degree}   ({label})",
+        f"period {period}, degree {fitted.degree}   ({label})",
         qp.pretty(fitted),
     ])
     return 0
@@ -128,7 +126,7 @@ def cmd_types(args) -> int:
     n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
-    fitted, period, degree = _fit_table(args, ms, board, table)
+    fitted, period = _fit_table(args, table)
     unlabelled_types = qp.types_count(fitted)
     census = []
     for n in range(c_from, c_to + 1):
@@ -143,7 +141,7 @@ def cmd_types(args) -> int:
         "types": {
             "unlabelled": str(unlabelled_types),
             "labelled": str(factorial(args.q) * unlabelled_types),
-            "from": f"fit at n=-1 (period {period}, degree {degree}, "
+            "from": f"fit at n=-1 (period {period}, degree {fitted.degree}, "
                     f"verified on n in [{n_from},{n_to}])",
         },
     }
@@ -185,7 +183,7 @@ def cmd_bounds(args) -> int:
         table = count_series(ms, board, args.q, 1, args.observe_period_n,
                              budget=args.budget)
         report["period_observed"] = qp.detect_period(
-            table, 2 * args.q, args.p_max,
+            table, args.p_max,
             denominator_bound=report["denominator"])
         report["method"]["period"] = "table fit"
     _emit(args, report, [

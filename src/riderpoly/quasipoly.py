@@ -228,29 +228,37 @@ def fit_values(values, period: int, degree: int) -> Quasipolynomial:
                            constituents=tuple(constituents))
 
 
-def fit(table, period: int, degree: int,
-        column: str = "unlabelled") -> Quasipolynomial:
-    """Fit a count table, then check the Ehrhart leading coefficient.
+def check_ehrhart(qp: Quasipolynomial, q: int, area: Fraction,
+                  column: str) -> None:
+    """Raise ``FitError`` unless qp has the Ehrhart form of a q-piece count.
 
-    For unlabelled counts every constituent must lead with
-    (vol B)^q / q!; labelled counts drop the q!.
+    The count of q pieces has degree 2q, and every constituent leads with
+    (vol B)^q / q! for the unlabelled column; labelled counts drop the q!.
     """
-    qp = fit_values(table.column(column), period, degree)
-    lead = Fraction(table.board.area) ** table.q
+    if qp.degree != 2 * q:
+        raise FitError(f"quasipolynomial has degree {qp.degree}, "
+                       f"expected {2 * q}")
+    lead = area ** q
     if column == "unlabelled":
-        lead /= factorial(table.q)
+        lead /= factorial(q)
     for k, cons in enumerate(qp.constituents):
-        if cons[degree] != lead:
+        if cons[-1] != lead:
             raise FitError(
-                f"constituent {k} leads with {cons[degree]}, expected {lead}; "
+                f"constituent {k} leads with {cons[-1]}, expected {lead}; "
                 "wrong degree or corrupted counts")
-    return qp
 
 
-def detect_period(table, degree: int, p_max: int,
+def fit(table, period: int, column: str = "unlabelled") -> Quasipolynomial:
+    """Fit a count table at degree 2q, then check its Ehrhart form."""
+    fitted = fit_values(table.column(column), period, 2 * table.q)
+    check_ehrhart(fitted, table.q, table.board.area, column)
+    return fitted
+
+
+def detect_period(table, p_max: int,
                   denominator_bound: int | None = None,
                   column: str = "unlabelled") -> int:
-    """Smallest period <= p_max whose fit validates.
+    """Smallest period <= p_max whose degree-2q fit validates.
 
     When a denominator bound is supplied the search is restricted to its
     divisors (the quasipolynomial period divides the inside-out
@@ -264,7 +272,7 @@ def detect_period(table, degree: int, p_max: int,
     values = table.column(column)
     for p in candidates:
         try:
-            fit_values(values, p, degree)
+            fit_values(values, p, 2 * table.q)
             return p
         except ValidationMismatchError as exc:
             failures.append(f"p={p}: {exc}")

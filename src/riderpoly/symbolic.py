@@ -1,14 +1,15 @@
 """Assembled counting quasipolynomials from the intersection semilattice.
 
-``reconstruct_count`` in the arrangement module sums over every flat at
-one board size.  This module assembles the *whole quasipolynomial* from
-the connected flats: mu and alpha multiply over slope-graph components,
-so by the exponential formula (Stanley, EC2 5.1) the count is a sum over
-set partitions of the pieces of per-block terms.  Each connected class's
-alpha is an Ehrhart quasipolynomial whose period divides the flat
-polytope's vertex denominator, fitted exactly (with held-out
-validation) from a window of sizes around n = 0, the negative ones by
-Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
+``reconstruct_count`` in the arrangement module sums one term per iso
+class at one board size, the disconnected classes included, so it is
+independent of the assembly here.  This module assembles the *whole
+quasipolynomial* from the connected flats: mu and alpha multiply over
+slope-graph components, so by the exponential formula (Stanley, EC2 5.1)
+the count is a sum over set partitions of the pieces of per-block terms.
+Each connected class's alpha is an Ehrhart quasipolynomial whose period
+divides the flat polytope's vertex denominator, fitted exactly (with
+held-out validation) from a window of sizes around n = 0, the negative
+ones by Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
 cannot touch (the q = 4 table on the square board, for instance).
 Every series is cross-checked against brute force before it is returned.
 """
@@ -102,20 +103,12 @@ def reconstruction_quasipolynomials(
         budget: int = DEFAULT_BUDGET) -> tuple:
     """(labelled, unlabelled) counting quasipolynomials for the semilattice's piece.
 
-    The labelled one is a_q of ``labelled_count_qps``; its degree and
-    leading coefficient are checked against the Ehrhart form before
+    The labelled one is a_q of ``labelled_count_qps``; it is checked
+    against the Ehrhart form (``quasipoly.check_ehrhart``) before
     returning.
     """
     total = labelled_count_qps(sl, board, budget)[sl.q]
-    if total.degree != 2 * sl.q:
-        raise RiderPolyError(
-            f"assembled quasipolynomial has degree {total.degree}, "
-            f"expected {2 * sl.q}")
-    lead = Fraction(board.area) ** sl.q
-    for cons in total.constituents:
-        if cons[total.degree] != lead:
-            raise RiderPolyError(
-                "assembled quasipolynomial has a wrong leading coefficient")
+    qp.check_ehrhart(total, sl.q, board.area, "labelled")
     unlabelled = total * Fraction(1, factorial(sl.q))
     return total, unlabelled
 

@@ -93,7 +93,7 @@ def _frac(s: str) -> Fraction:
 def check_two_queens_formula(suite: PaperSuite) -> list[CheckResult]:
     """Criterion 1: the known two-queens quasipolynomial, fitted from brute force."""
     table = suite.table("queen", 2, 12)
-    fitted = qp.fit(table, 1, 4)
+    fitted = qp.fit(table, 1)
     expected = tuple(_frac(s) for s in ("0", "-1/3", "3/2", "-5/3", "1/2"))
     ok = fitted.constituents[0] == expected
     return [CheckResult(
@@ -104,9 +104,9 @@ def check_two_queens_formula(suite: PaperSuite) -> list[CheckResult]:
 def check_two_nightriders(suite: PaperSuite) -> list[CheckResult]:
     """Criterion 2: period detection and the two-nightriders constituents."""
     table = suite.table("nightrider", 2, 20)
-    period = qp.detect_period(table, 4, 6)
+    period = qp.detect_period(table, 6)
     results = [CheckResult("2a. two-nightriders detected period = 2", period == 2)]
-    fitted = qp.fit(table, 2, 4)
+    fitted = qp.fit(table, 2)
     base = tuple(_frac(s) for s in ("0", "-11/12", "3/2", "-5/6", "1/2"))
     even = tuple(base[k] + (_frac("1/4") if k == 1 else 0) for k in range(5))
     odd = tuple(base[k] - (_frac("1/4") if k == 1 else 0) for k in range(5))
@@ -121,9 +121,9 @@ def check_two_nightriders(suite: PaperSuite) -> list[CheckResult]:
 def check_three_queens_types(suite: PaperSuite) -> list[CheckResult]:
     """Criterion 3: three-queens table, period-2 fit, 36 types at n = -1."""
     table = suite.table("queen", 3, 20)
-    fitted = qp.fit(table, 2, 6)
+    fitted = qp.fit(table, 2)
     three = qp.types_count(fitted)
-    two = qp.types_count(qp.fit(suite.table("queen", 2, 12), 1, 4))
+    two = qp.types_count(qp.fit(suite.table("queen", 2, 12), 1))
     return [
         CheckResult("3a. three-queens types u_Q(3;-1) = 36", three == 36),
         CheckResult("3b. two-queens types u_Q(2;-1) = 4", two == 4),
@@ -137,9 +137,9 @@ def check_two_move_types(suite: PaperSuite) -> list[CheckResult]:
         for q in (2, 3):
             denom = bounds.denominator(suite.piece(name), suite.board, q)
             table = suite.table(name, q, 2 * (2 * q + 2))
-            period = qp.detect_period(table, 2 * q, max(denom, 2),
+            period = qp.detect_period(table, max(denom, 2),
                                       denominator_bound=denom)
-            fitted = qp.fit(table, period, 2 * q)
+            fitted = qp.fit(table, period)
             types = qp.types_count(fitted)
             results.append(CheckResult(
                 f"4. {name} q={q}: types from fit = {factorial(q)}",
@@ -246,15 +246,15 @@ def check_bounds_table(suite: PaperSuite) -> list[CheckResult]:
         closed == [2, 4, 8, 16, 32], detail=str(closed)))
     results.append(CheckResult(
         "7. lcmd(M_nightrider) = 60",
-        bounds.lcmd_of_matrix(bounds.moves_matrix(nightrider)) == 60))
+        bounds.lcmd_direct(bounds.moves_matrix(nightrider)) == 60))
 
     bishop_denom = bounds.denominator(bishop, board, 3)
     observed = {
-        ("bishop", 3): qp.detect_period(suite.table("bishop", 3, 16), 6, 6,
+        ("bishop", 3): qp.detect_period(suite.table("bishop", 3, 16), 6,
                                         denominator_bound=bishop_denom),
-        ("queen", 3): qp.detect_period(suite.table("queen", 3, 20), 6, 6,
+        ("queen", 3): qp.detect_period(suite.table("queen", 3, 20), 6,
                                        denominator_bound=denoms[("queen", 3)]),
-        ("nightrider", 2): qp.detect_period(suite.table("nightrider", 2, 20), 4, 6,
+        ("nightrider", 2): qp.detect_period(suite.table("nightrider", 2, 20), 6,
                                             denominator_bound=denoms[("nightrider", 2)]),
     }
     chain_denoms = {("bishop", 3): bishop_denom,
@@ -278,14 +278,14 @@ def check_coefficients(suite: PaperSuite) -> list[CheckResult]:
     """
     results = []
     fits = {
-        ("queen", 2): qp.fit(suite.table("queen", 2, 12), 1, 4),
-        ("queen", 3): qp.fit(suite.table("queen", 3, 20), 2, 6),
-        ("nightrider", 2): qp.fit(suite.table("nightrider", 2, 20), 2, 4),
-        ("bishop", 2): qp.fit(suite.table("bishop", 2, 12), 1, 4),
-        ("rook", 2): qp.fit(suite.table("rook", 2, 12), 1, 4),
-        ("bishop", 3): qp.fit(suite.table("bishop", 3, 16), 2, 6),
-        ("rook", 3): qp.fit(suite.table("rook", 3, 12), 1, 6),
-        ("queen", 4): qp.fit(suite.queen4_table(), 6, 8),
+        ("queen", 2): qp.fit(suite.table("queen", 2, 12), 1),
+        ("queen", 3): qp.fit(suite.table("queen", 3, 20), 2),
+        ("nightrider", 2): qp.fit(suite.table("nightrider", 2, 20), 2),
+        ("bishop", 2): qp.fit(suite.table("bishop", 2, 12), 1),
+        ("rook", 2): qp.fit(suite.table("rook", 2, 12), 1),
+        ("bishop", 3): qp.fit(suite.table("bishop", 3, 16), 2),
+        ("rook", 3): qp.fit(suite.table("rook", 3, 12), 1),
+        ("queen", 4): qp.fit(suite.queen4_table(), 6),
     }
     gamma1 = {}
     for (name, q), fitted in fits.items():

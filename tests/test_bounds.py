@@ -194,7 +194,7 @@ def test_flat_denominator_matches_scan_in_all_coordinates(board_text, moves,
 
 class TestLcmd:
     def test_move_matrix_nightrider(self, nightrider):
-        assert bounds.lcmd_of_matrix(bounds.moves_matrix(nightrider)) == 60
+        assert bounds.lcmd_direct(bounds.moves_matrix(nightrider)) == 60
 
     @pytest.mark.parametrize("name,q,expected", [
         ("queen", 2, 2), ("queen", 3, 4),
@@ -243,10 +243,10 @@ def test_stretch_nightrider_q4_lcmd(nightrider):
 
 
 class TestDivisibilityChain:
-    @pytest.mark.parametrize("name,q,n_max,degree", [
-        ("bishop", 3, 16, 6), ("queen", 3, 20, 6), ("nightrider", 2, 20, 4)])
+    @pytest.mark.parametrize("name,q,n_max", [
+        ("bishop", 3, 16), ("queen", 3, 20), ("nightrider", 2, 20)])
     def test_period_divides_denominator_divides_lcmd(self, name, q, n_max,
-                                                     degree, square):
+                                                     square):
         from riderpoly.counting import count_series
         from riderpoly.quasipoly import detect_period
 
@@ -254,7 +254,7 @@ class TestDivisibilityChain:
         denom = bounds.denominator(ms, square, q)
         lcmd_val = bounds.lcmd_direct(bounds.attack_rows(ms, q))
         table = count_series(ms, square, q, 1, n_max)
-        period = detect_period(table, degree, denom, denominator_bound=denom)
+        period = detect_period(table, denom, denominator_bound=denom)
         assert denom % period == 0
         assert lcmd_val % denom == 0
 

@@ -116,18 +116,34 @@ class TestCount:
         assert error["type"] == "CapacityError"
         assert error["context"]["cells"] == str(cells)
 
-    # At negative n the counting quasipolynomial gives reciprocity values,
-    # not counts, so both routes refuse the range, and a reversed one.
+    # Both routes print the same rows or refuse with the same message.  At
+    # negative n the counting quasipolynomial gives reciprocity values, not
+    # counts, so both refuse the range, and a reversed one; q = 0 is the
+    # empty placement, one per size.
     @pytest.mark.parametrize("fmt", ["pretty", "json"])
     @pytest.mark.parametrize("method", ["brute", "reconstruction"])
-    @pytest.mark.parametrize("n, message", [
-        ("-3:0", "n must be nonnegative"),
-        ("5:3", "n_from must not exceed n_to"),
-    ], ids=["negative", "reversed"])
-    def test_bad_n_range_is_usage_error(self, capsys, n, message, method, fmt):
-        code = main(["count", "--piece", "queen", "--q", "2", f"--n={n}",
+    @pytest.mark.parametrize("q, n, message", [
+        ("2", "-3:0", "n must be nonnegative"),
+        ("2", "5:3", "n_from must not exceed n_to"),
+        ("-1", "1:3", "q must be nonnegative"),
+        ("0", "1:3", None),
+    ], ids=["negative", "reversed", "negative-q", "zero-q"])
+    def test_routes_agree_on_rows_or_error(self, capsys, q, n, message,
+                                           method, fmt):
+        code = main(["count", "--piece", "queen", f"--q={q}", f"--n={n}",
                      "--method", method, "--format", fmt])
         captured = capsys.readouterr()
+        if message is None:
+            assert code == 0
+            assert captured.err == ""
+            if fmt == "json":
+                assert json.loads(captured.out)["rows"] == [
+                    {"n": k, "labelled": "1", "unlabelled": "1"}
+                    for k in (1, 2, 3)]
+            else:
+                assert captured.out.splitlines()[1:] == [
+                    f"  n={k:<4d} unlabelled=1  labelled=1" for k in (1, 2, 3)]
+            return
         assert code == 2
         if fmt == "json":
             data = json.loads(captured.out)
@@ -306,6 +322,14 @@ class TestMobius:
         assert data["flat_count"] == 6
         mus = sorted(f["mobius"] for f in data["flats"])
         assert mus == [-1, -1, -1, -1, 1, 3]
+
+    def test_no_piece_report(self, capsys):
+        code, out = run_cli(capsys, "mobius", "--piece", "queen", "--q", "0",
+                            "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "semilattice.schema.json")
+        assert data["flat_count"] == 1 and data["iso_classes"][0]["size"] == 1
 
     def test_single_piece_report(self, capsys):
         code, out = run_cli(capsys, "mobius", "--piece", "queen", "--q", "1",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import quasipoly as qp
-from riderpoly.counting import count_series
+from riderpoly.counting import CountTable, count_series
 from riderpoly.errors import (
     FitError,
     InsufficientDataError,
@@ -26,22 +26,22 @@ def two_nightriders(nightrider, square):
 
 class TestFit:
     def test_two_queens_coefficients(self, two_queens):
-        fitted = qp.fit(two_queens, 1, 4)
+        fitted = qp.fit(two_queens, 1)
         assert fitted.constituents[0] == (F(0), F(-1, 3), F(3, 2), F(-5, 3), F(1, 2))
 
     def test_two_nightriders_constituents(self, two_nightriders):
-        fitted = qp.fit(two_nightriders, 2, 4)
+        fitted = qp.fit(two_nightriders, 2)
         even = (F(0), F(-11, 12) + F(1, 4), F(3, 2), F(-5, 6), F(1, 2))
         odd = (F(0), F(-11, 12) - F(1, 4), F(3, 2), F(-5, 6), F(1, 2))
         assert fitted.constituents == (even, odd)
 
     def test_q1_square_is_n_squared(self, rook, square):
         table = count_series(rook, square, 1, 1, 6)
-        fitted = qp.fit(table, 1, 2)
+        fitted = qp.fit(table, 1)
         assert fitted.constituents[0] == (F(0), F(0), F(1))
 
     def test_round_trip_reproduces_every_row(self, two_nightriders):
-        fitted = qp.fit(two_nightriders, 2, 4)
+        fitted = qp.fit(two_nightriders, 2)
         for n in two_nightriders.ns():
             assert fitted.evaluate(n) == two_nightriders.unlabelled(n)
 
@@ -55,42 +55,45 @@ class TestFit:
             qp.fit_values(two_queens.column("unlabelled"), 4, 4)
 
     def test_labelled_column_leading_coefficient(self, two_queens):
-        fitted = qp.fit(two_queens, 1, 4, column="labelled")
+        fitted = qp.fit(two_queens, 1, column="labelled")
         assert fitted.constituents[0][4] == 1
 
-    def test_wrong_degree_fails_leading_check(self, two_queens):
-        with pytest.raises(FitError):
-            qp.fit(two_queens, 1, 5)
+    def test_doubled_counts_fail_leading_check(self, two_queens):
+        # Still a degree-4 quasipolynomial, but it leads with 1, not 1/2.
+        doubled = CountTable(two_queens.piece, two_queens.board, 2, {
+            n: (2 * lab, 2 * unlab) for n, (lab, unlab) in two_queens.rows.items()})
+        with pytest.raises(FitError, match="leads with 1, expected 1/2"):
+            qp.fit(doubled, 1)
 
 
 class TestDetectPeriod:
     def test_queen_is_one(self, two_queens):
-        assert qp.detect_period(two_queens, 4, 4) == 1
+        assert qp.detect_period(two_queens, 4) == 1
 
     def test_nightrider_is_two(self, two_nightriders):
-        assert qp.detect_period(two_nightriders, 4, 4) == 2
+        assert qp.detect_period(two_nightriders, 4) == 2
 
     def test_divisor_restriction(self, two_nightriders):
-        assert qp.detect_period(two_nightriders, 4, 6, denominator_bound=2) == 2
+        assert qp.detect_period(two_nightriders, 6, denominator_bound=2) == 2
 
     def test_not_found_reports_residuals(self, two_nightriders):
         with pytest.raises(PeriodNotFoundError):
-            qp.detect_period(two_nightriders, 4, 1)
+            qp.detect_period(two_nightriders, 1)
 
 
 class TestEvaluate:
     def test_named_values(self, two_queens):
-        fitted = qp.fit(two_queens, 1, 4)
+        fitted = qp.fit(two_queens, 1)
         assert fitted.evaluate(5) == 140
         assert fitted.evaluate(-1) == 4
 
     def test_negative_uses_last_constituent(self, two_nightriders):
-        fitted = qp.fit(two_nightriders, 2, 4)
+        fitted = qp.fit(two_nightriders, 2)
         assert fitted.evaluate(-1) == qp.poly_eval(fitted.constituents[1], -1) == 4
 
     def test_types_count(self, two_queens, two_nightriders):
-        assert qp.types_count(qp.fit(two_queens, 1, 4)) == 4
-        assert qp.types_count(qp.fit(two_nightriders, 2, 4)) == 4
+        assert qp.types_count(qp.fit(two_queens, 1)) == 4
+        assert qp.types_count(qp.fit(two_nightriders, 2)) == 4
 
     def test_types_count_rejects_non_integer(self):
         bad = qp.from_polynomial([F(1, 2), F(1)])
@@ -98,43 +101,43 @@ class TestEvaluate:
             qp.types_count(bad)
 
     def test_labelled_and_unlabelled_type_counts_agree(self, two_nightriders):
-        unlab = qp.types_count(qp.fit(two_nightriders, 2, 4))
-        lab = qp.types_count(qp.fit(two_nightriders, 2, 4, column="labelled"))
+        unlab = qp.types_count(qp.fit(two_nightriders, 2))
+        lab = qp.types_count(qp.fit(two_nightriders, 2, column="labelled"))
         assert lab == 2 * unlab == 8
 
 
 class TestCoefficient:
     def test_two_queens_gamma0(self, two_queens):
-        fitted = qp.fit(two_queens, 1, 4)
+        fitted = qp.fit(two_queens, 1)
         assert qp.coefficient(fitted, 0) == [F(1, 2)]
 
     def test_two_nightriders_gammas(self, two_nightriders):
-        fitted = qp.fit(two_nightriders, 2, 4)
+        fitted = qp.fit(two_nightriders, 2)
         assert qp.coefficient(fitted, 1) == [F(-5, 6), F(-5, 6)]
         assert qp.coefficient(fitted, 3) == [F(-11, 12) + F(1, 4),
                                              F(-11, 12) - F(1, 4)]
 
     def test_out_of_range(self, two_queens):
-        fitted = qp.fit(two_queens, 1, 4)
+        fitted = qp.fit(two_queens, 1)
         with pytest.raises(IndexError):
             qp.coefficient(fitted, 5)
 
 
 class TestSerialization:
     def test_schema_fields(self, two_nightriders):
-        fitted = qp.fit(two_nightriders, 2, 4)
+        fitted = qp.fit(two_nightriders, 2)
         data = json.loads(fitted.to_json())
         assert data["degree"] == 4 and data["period"] == 2
         assert data["constituents"][0][4] == "1/2"
         assert qp.from_json_dict(data) == fitted
 
     def test_pretty_period_two(self, two_nightriders):
-        fitted = qp.fit(two_nightriders, 2, 4)
+        fitted = qp.fit(two_nightriders, 2)
         text = qp.pretty(fitted)
         assert text == "{n^4/2 - 5n^3/6 + 3n^2/2 - 11n/12} + (-1)^n [n/4]"
 
     def test_pretty_period_one(self, two_queens):
-        assert qp.pretty(qp.fit(two_queens, 1, 4)) == \
+        assert qp.pretty(qp.fit(two_queens, 1)) == \
             "n^4/2 - 5n^3/3 + 3n^2/2 - n/3"
 
 

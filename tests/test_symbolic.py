@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from riderpoly import bounds
+from riderpoly import bounds, quasipoly as qp, symbolic
 from riderpoly.arrangement import alpha, intersection_semilattice, w_equal_flat
 from riderpoly.counting import (
     METHOD_RECONSTRUCTION,
     count_nonattacking,
     count_series,
 )
-from riderpoly.errors import RiderPolyError
+from riderpoly.errors import FitError, RiderPolyError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
@@ -107,6 +107,25 @@ class TestReconstructionSeries:
         assert labelled.degree == 6
         assert unlabelled.reduced().period == 2
         assert set(c[6] for c in unlabelled.constituents) == {F(1, 6)}
+
+    # A doubled assembly still has degree 4 but leads with 2 * area^2; a
+    # constant one has the wrong degree.  The Ehrhart check refuses both.
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda a: 2 * a, "leads with 2, expected 1"),
+        (lambda a: qp.constant(1), "has degree 0, expected 4"),
+    ], ids=["doubled", "constant"])
+    def test_corrupted_assembly_fails_ehrhart_check(self, rook, square,
+                                                    monkeypatch, corrupt,
+                                                    message):
+        assembled = symbolic.labelled_count_qps
+
+        def corrupted(sl, board, budget):
+            return [corrupt(a) for a in assembled(sl, board, budget)]
+
+        monkeypatch.setattr(symbolic, "labelled_count_qps", corrupted)
+        with pytest.raises(FitError, match=message):
+            reconstruction_quasipolynomials(
+                intersection_semilattice(rook, 2), square)
 
     @pytest.mark.parametrize("name", ["queen", "rook"])
     def test_fewer_pieces_from_one_recursion(self, name, square):
