@@ -10,15 +10,18 @@ The inside-out denominator is taken flat by flat: by Beck and Zaslavsky
 (*Inside-out polytopes*, arXiv math/0309330) the vertices of the
 inside-out polytope are the vertices of board^q cut by each flat of the
 move arrangement, so one small scan per isomorphism class of flats
-replaces a scan of every 2q x 2q system of the grand matrix.  The grand
-matrix still sizes the system budget, which is checked before any work
+replaces a scan of every 2q x 2q system of the grand matrix.  A scan
+eliminates each set of row directions once for all its systems, and a
+flat skips a set whose denominator bound divides its lcm so far.  The
+grand matrix still sizes the system budget, checked before any work
 (criterion 9: the nightrider q = 4 denominator is refused by default).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, lcm
+from operator import mul
 
 from .arrangement import (
     Flat,
@@ -39,29 +42,10 @@ def moves_matrix(ms: MoveSet) -> tuple[tuple[int, int], ...]:
     return tuple(m.perp for m in ms)
 
 
-def eta_transpose(q: int) -> tuple[tuple[int, ...], ...]:
-    """Transposed oriented incidence matrix of K_q: one row per pair i < j."""
-    rows = []
-    for i, j in combinations(range(q), 2):
-        row = [0] * q
-        row[i] = 1
-        row[j] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def kron(a, b) -> tuple[tuple[int, ...], ...]:
-    """Kronecker product of two integer matrices (row-major blocks)."""
-    out = []
-    for arow in a:
-        for brow in b:
-            out.append(tuple(x * y for x in arow for y in brow))
-    return tuple(out)
-
-
 def attack_rows(ms: MoveSet, q: int) -> tuple[tuple[int, ...], ...]:
-    """The top block of the grand matrix (equals eta_transpose(q) kron M):
-    the move hyperplanes' rows, negated."""
+    """The top block of the grand matrix, the Kronecker product of K_q's
+    transposed oriented incidence matrix and ``moves_matrix``: the move
+    hyperplanes' rows, negated."""
     return tuple(tuple(-x for x in hyperplane_row(h, ms, q))
                  for h in build_move_arrangement(ms, q))
 
@@ -91,68 +75,81 @@ def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
     return [(row, 0) for row in attack_rows(ms, q)] + board_rows(board, q)
 
 
-def scan_vertices(forced, optional, ncols: int, feasible):
-    """Yield the solution of every nonsingular square system built from the rows.
+def _bases(forced, optional, ncols: int):
+    """Yield (groups, d, affine) per set of row directions that completes
+    the forced rows to rank ``ncols``; ``groups`` lists the set's groups,
+    each as a list of (row, rhs, t).  One elimination serves all systems.
 
-    Rows are (integer row, integer rhs) pairs.  ``forced`` rows take part
-    in every system; the scan extends them with independent choices from
-    ``optional`` until the rank reaches ``ncols``, sharing elimination work
-    along common prefixes.  Each row is added by ``linalg.insert_row``,
-    the fraction-free Gauss-Jordan step.  A solution is the point
-    (d, nums), d > 0, whose coordinate i is nums[i] / d; it is yielded if
-    ``feasible(point)``.
+    Rows are grouped by primitive normal up to sign; a nonsingular system
+    takes one member of each group of a set.  A member row . x = rhs reads
+    N . x = t, N the primitive normal times the lcm of the members'
+    scales, t an integer.  ``insert_row``, shared along common prefixes,
+    takes a one-member group with rhs t and a larger one with -1 in a
+    column standing for its t, so each choice of members solves to
+    x = affine . (1, t of each larger group) / d.
     """
-
+    found: dict = {}
+    for row, rhs in optional:
+        g = gcd(*row)
+        if g:  # a zero row is in no nonsingular system
+            g = g if next(x for x in row if x) > 0 else -g
+            found.setdefault(tuple(x // g for x in row), []).append((row, rhs, g))
+    groups = []
+    for normal, rows in found.items():
+        scale = lcm(*[s for _, _, s in rows])
+        groups.append(([scale * x for x in normal],
+                       [(row, rhs, rhs * scale // s) for row, rhs, s in rows]))
     base: list = []
     for row, rhs in forced:
         extended = insert_row(row, rhs, base)
         if extended is not None:
             base = extended
+    # The k-th larger group chosen gets the t column ncols + k.
+    width = min(ncols - len(base), sum(len(m) > 1 for _, m in groups))
+    zeros = [0] * width
+    units = [zeros[:k] + [-1] + zeros[k + 1:] for k in range(width)]
+    base = [(p, erow + zeros, erhs) for p, erow, erhs in base]
 
-    def rec(start: int, echelon):
+    def rec(start: int, echelon, chosen, nt: int):
         need = ncols - len(echelon)
         if need == 0:
-            # A list: lcm(*generator) parks resized tuples on the tuple
-            # free list, about 0.2 MB of peak RSS per scan.
-            d = lcm(*[erow[pivot_col] for pivot_col, erow, _ in echelon])
-            nums = [0] * ncols
-            for pivot_col, erow, erhs in echelon:
-                nums[pivot_col] = erhs * (d // erow[pivot_col])
-            point = (d, tuple(nums))
+            # A list: lcm(*generator) costs about 0.2 MB of peak RSS.
+            d = lcm(*[erow[p] for p, erow, _ in echelon])
+            affine = [[c * (d // erow[p])
+                       for c in [erhs] + [-x for x in erow[ncols:ncols + nt]]]
+                      for p, erow, erhs in sorted(echelon)]
+            yield chosen, d, affine
+            return
+        for idx in range(start, len(groups) - need + 1):
+            normal, members = groups[idx]
+            several = len(members) > 1
+            extended = insert_row(normal + (units[nt] if several else zeros),
+                                  0 if several else members[0][2], echelon)
+            # A pivot in a t column: the direction is dependent.
+            if extended is not None and extended[-1][0] < ncols:
+                yield from rec(idx + 1, extended, chosen + [members],
+                               nt + several)
+
+    yield from rec(0, base, [], 0)
+
+
+def scan_vertices(forced, optional, ncols: int, feasible):
+    """Yield the solution of every nonsingular square system built from the rows.
+
+    Rows are (integer row, integer rhs) pairs.  ``forced`` rows take part
+    in every system; ``optional`` rows complete it, one per direction
+    group of each set from ``_bases``, solved by dot products.  A solution
+    is the point (d, nums), d > 0 least, whose coordinate i is nums[i] / d;
+    it is yielded if ``feasible(point)``.
+    """
+    for groups, d, affine in _bases(forced, optional, ncols):
+        for choice in product(*[m for m in groups if len(m) > 1]):
+            ts = [1] + [t for _, _, t in choice]
+            nums = [sum(map(mul, coeffs, ts)) for coeffs in affine]
+            g = gcd(d, *nums)
+            point = (d // g, tuple(x // g for x in nums))
             if feasible(point):
                 yield point
-            return
-        for idx in range(start, len(optional) - need + 1):
-            row, rhs = optional[idx]
-            extended = insert_row(row, rhs, echelon)
-            if extended is not None:
-                yield from rec(idx + 1, extended)
-
-    yield from rec(0, base)
-
-
-def board_vertex_denominator(forced, optional, board: BoardPolygon,
-                             k: int) -> int:
-    """lcm of coordinate denominators over the feasible vertices of a scan.
-
-    Scans ``forced`` and ``optional`` (row, rhs) pairs over the 2k
-    coordinates of k pieces and keeps the points inside the closed
-    polytope board^k, tested in integers as a*x + b*y <= c*d per piece.
-    Scanned over a flat's equations and ``board_rows``, or over the whole
-    ``grand_matrix``, it is the reference that the per-flat scans in the
-    flat's own coordinates are tested against.
-    """
-    ineqs = board.scaled_strict_rows(1)
-
-    def feasible(point) -> bool:
-        d, nums = point
-        return all(a * nums[i] + b * nums[i + 1] <= c * d
-                   for i in range(0, 2 * k, 2) for a, b, c in ineqs)
-
-    result = 1
-    for d, nums in scan_vertices(forced, optional, 2 * k, feasible):
-        result = lcm(result, d // gcd(d, *nums))
-    return result
 
 
 def essential_rows(flat: Flat) -> list[tuple[int, ...]]:
@@ -172,9 +169,12 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
     every one of the 2 kappa coordinates is an integer row over the free
     coordinates, divided by L.  Each piece's board rows are projected
     through those rows, made primitive and deduplicated (pieces the flat
-    makes coincide share them), and every vertex is lifted back to all
-    2 kappa coordinates for its denominator.  The alpha
-    quasipolynomial's period divides this.
+    makes coincide share them).  For each set of their directions from
+    ``_bases``, every lifted coordinate is an affine form in the groups'
+    integer t's over d L, so d L // gcd(d L, all their coefficients)
+    bounds the set's vertex denominators.  A set whose bound divides the
+    lcm so far is skipped (every set of a rook flat is); the others are
+    scanned.  The alpha quasipolynomial's period divides this.
     """
     kappa = flat.kappa
     if kappa == 0:
@@ -201,14 +201,20 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
 
     def feasible(point) -> bool:
         d, nums = point
-        return all(sum(a * x for a, x in zip(row, nums)) <= rhs * d
+        return all(sum(map(mul, row, nums)) <= rhs * d
                    for row, rhs in projected)
 
+    def denom(dl, vectors) -> int:
+        # The lcm of the lifted coordinates' denominators over dl.
+        return dl // gcd(dl, *[sum(map(mul, row, v))
+                               for row in lift for v in vectors])
+
     result = 1
-    for d, nums in scan_vertices([], projected, len(free), feasible):
-        dl = d * scale
-        result = lcm(result, dl // gcd(
-            dl, *[sum(a * x for a, x in zip(row, nums)) for row in lift]))
+    for groups, d, affine in _bases([], projected, len(free)):
+        if result % denom(d * scale, list(zip(*affine))):
+            rows = [(row, rhs) for members in groups for row, rhs, _ in members]
+            for d, nums in scan_vertices([], rows, len(free), feasible):
+                result = lcm(result, denom(d * scale, [nums]))
     return result
 
 
@@ -269,13 +275,8 @@ def lcmd_closed_form_two_moves(ms: MoveSet, q: int) -> int:
     """
     if len(ms) != 2:
         raise MoveSetError("the closed form applies to two-move pieces only")
-    (m1, m2) = ms.moves
-    c1, d1 = m1.c, m1.d
-    c2, d2 = m2.c, m2.d
-    lcmd_m = 1
-    for entry in (d1, -c1, d2, -c2, d1 * (-c2) - (-c1) * d2):
-        if entry:
-            lcmd_m = lcm(lcmd_m, abs(entry))
+    (c1, d1), (c2, d2) = [(m.c, m.d) for m in ms.moves]
+    lcmd_m = lcm(*[x for x in (d1, c1, d2, c2, c1 * d2 - d1 * c2) if x])
     result = lcmd_m ** (q - 1) if q > 1 else 1
     for p in range(1, q // 2 + 1):
         det_p = abs(d1**p * c2**p - c1**p * d2**p)
@@ -313,7 +314,7 @@ def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
             "closed form evaluates the two-move formula literally "
             "(for the bishop that is 2^(q-1), matching the table; the "
             "source text's 2^q remark disagrees with both)")
-    report = {
+    return {
         "piece": ms.label,
         "board": board.as_text(),
         "q": q,
@@ -327,4 +328,3 @@ def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
         "exhaustive": exhaustive,
         "notes": notes,
     }
-    return report

@@ -1,6 +1,9 @@
+from math import gcd, lcm
+
 import pytest
 from hypothesis import strategies as st
 
+from riderpoly.bounds import scan_vertices
 from riderpoly.geometry import BoardPolygon, piece_from_text
 
 
@@ -54,3 +57,28 @@ def random_pieces(draw):
                           max_size=len(dirs)))
     return piece_from_text(";".join(f"{s * c},{s * d}"
                                     for (c, d), s in zip(dirs, signs)))
+
+
+def board_vertex_denominator(forced, optional, board, k: int) -> int:
+    """lcm of coordinate denominators over the feasible vertices of a scan.
+
+    The exhaustive reference for ``bounds.flat_polytope_denominator``:
+    scans every nonsingular system of ``forced`` and ``optional`` (row,
+    rhs) pairs over the 2k coordinates of k pieces, with no basis skipped,
+    and keeps the points inside the closed polytope board^k, tested in
+    integers as a*x + b*y <= c*d per piece.  Scanned over a flat's
+    equations and ``bounds.board_rows``, or over the whole
+    ``bounds.grand_matrix``, it is what the per-flat scans in the flat's
+    own coordinates are tested against.
+    """
+    ineqs = board.scaled_strict_rows(1)
+
+    def feasible(point) -> bool:
+        d, nums = point
+        return all(a * nums[i] + b * nums[i + 1] <= c * d
+                   for i in range(0, 2 * k, 2) for a, b, c in ineqs)
+
+    result = 1
+    for d, nums in scan_vertices(forced, optional, 2 * k, feasible):
+        result = lcm(result, d // gcd(d, *nums))
+    return result

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, lcm
 
 import pytest
-from conftest import DIRECTIONS
+from conftest import DIRECTIONS, board_vertex_denominator
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import bounds
@@ -16,6 +16,23 @@ from riderpoly.arrangement import (
 from riderpoly.errors import CapacityError, MoveSetError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.linalg import bareiss_determinant
+
+
+def eta_transpose(q: int) -> tuple[tuple[int, ...], ...]:
+    """Transposed oriented incidence matrix of K_q: one row per pair i < j."""
+    rows = []
+    for i, j in combinations(range(q), 2):
+        row = [0] * q
+        row[i] = 1
+        row[j] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def kron(a, b) -> tuple[tuple[int, ...], ...]:
+    """Kronecker product of two integer matrices (row-major blocks)."""
+    return tuple(tuple(x * y for x in arow for y in brow)
+                 for arow in a for brow in b)
 
 
 class TestGrandMatrix:
@@ -53,8 +70,7 @@ class TestGrandMatrix:
                      "-1,2;-2,1;1,1"):
             ms = piece_from_text(name)
             rows = bounds.attack_rows(ms, q)
-            assert rows == bounds.kron(bounds.eta_transpose(q),
-                                       bounds.moves_matrix(ms)), name
+            assert rows == kron(eta_transpose(q), bounds.moves_matrix(ms)), name
             # The move hyperplanes' rows, negated, in the same order.
             assert rows == tuple(tuple(-x for x in hyperplane_row(h, ms, q))
                                  for h in build_move_arrangement(ms, q)), name
@@ -106,7 +122,8 @@ class TestDenominator:
 
 
 def _cramer_vertices(forced, optional, ncols, board):
-    """Feasible solutions of every nonsingular system, by Cramer's rule."""
+    """Solutions of every nonsingular system, by Cramer's rule, kept if
+    inside the board (all of them when ``board`` is None)."""
     found = Counter()
     for chosen in combinations(optional, ncols - len(forced)):
         system = list(forced) + list(chosen)
@@ -119,7 +136,7 @@ def _cramer_vertices(forced, optional, ncols, board):
             swapped = [row[:col] + [rhs] + row[col + 1:]
                        for row, (_, rhs) in zip(matrix, system)]
             point.append(F(bareiss_determinant(swapped), det))
-        if _inside(point, board):
+        if board is None or _inside(point, board):
             found[tuple(point)] += 1
     return found
 
@@ -149,8 +166,42 @@ def test_scan_matches_cramer_reference(board_text, moves, force_first):
             lambda p: _inside([F(x, p[0]) for x in p[1]], board)))
     reference = _cramer_vertices(forced, optional, 4, board)
     assert scanned == reference
-    assert bounds.board_vertex_denominator(forced, optional, board, 2) == lcm(
+    assert board_vertex_denominator(forced, optional, board, 2) == lcm(
         *(x.denominator for point in reference for x in point))
+
+
+RECT = board_from_text("rect:3/2,1")
+
+
+@pytest.mark.parametrize("forced,optional,ncols", [
+    # rect:3/2,1's edges (2,0).x <= 3 and (-1,0).x <= 0: parallel rows of
+    # different scale, one direction group.
+    ([], [((-1, 0), 0), ((0, -1), 0), ((2, 0), 3), ((0, 1), 1), ((1, 1), 2)],
+     2),
+    # Zero rows are in no nonsingular system.
+    ([], [((0, 0), 0), ((2, 0), 3), ((0, 0), 5), ((-1, 0), 0), ((0, 1), 1),
+          ((0, -2), -1)], 2),
+    # A forced row never pairs with the optional rows parallel to it.
+    ([((2, 0), 3)], [((-1, 0), 0), ((0, -1), 0), ((-4, 0), -1), ((0, 1), 1),
+                     ((1, 1), 2)], 2),
+    # Two pieces: several groups of two with t columns, and a singleton.
+    ([], bounds.board_rows(RECT, 2) + [((1, 0, -1, 0), 0)], 4),
+], ids=["parallel-scales", "zero-rows", "forced-parallel", "two-pieces"])
+def test_grouped_scan_matches_cramer_reference(forced, optional, ncols):
+    # With every point feasible, the scan yields each nonsingular system's
+    # solution exactly once, over its least common denominator.
+    points = list(bounds.scan_vertices(forced, optional, ncols,
+                                       lambda p: True))
+    assert all(d == lcm(*(F(x, d).denominator for x in nums))
+               for d, nums in points)
+    every = Counter(tuple(F(x, d) for x in nums) for d, nums in points)
+    assert every == _cramer_vertices(forced, optional, ncols, None)
+    inside = Counter(
+        tuple(F(x, d) for x in nums)
+        for d, nums in bounds.scan_vertices(
+            forced, optional, ncols,
+            lambda p: _inside([F(x, p[0]) for x in p[1]], RECT)))
+    assert inside == _cramer_vertices(forced, optional, ncols, RECT)
 
 
 @pytest.mark.parametrize("board_text", [
@@ -164,7 +215,7 @@ def test_flatwise_denominator_matches_full_scan(board_text, moves, q):
     board = board_from_text(board_text)
     ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
     # Reference: every nonsingular 2q x 2q system of the grand matrix.
-    full_scan = bounds.board_vertex_denominator(
+    full_scan = board_vertex_denominator(
         [], bounds.grand_matrix(ms, board, q), board, q)
     assert bounds.denominator(ms, board, q) == full_scan
 
@@ -185,11 +236,37 @@ def test_flat_denominator_matches_scan_in_all_coordinates(board_text, moves,
     sl = intersection_semilattice(ms, q)
     for cls in sl.iso_classes:
         flat = sl.flats[cls.representative]
-        kappa = flat.kappa
-        reference = bounds.board_vertex_denominator(
-            [(row, 0) for row in bounds.essential_rows(flat)],
-            bounds.board_rows(board, kappa), board, kappa)
-        assert bounds.flat_polytope_denominator(flat, board) == reference, cls
+        assert bounds.flat_polytope_denominator(flat, board) == \
+            _exhaustive_flat_denominator(flat, board), cls
+
+
+def _exhaustive_flat_denominator(flat, board):
+    """Every nonsingular system of the flat's equations and the board rows
+    of its pieces, in all 2 kappa coordinates, none skipped."""
+    return board_vertex_denominator(
+        [(row, 0) for row in bounds.essential_rows(flat)],
+        bounds.board_rows(board, flat.kappa), board, flat.kappa)
+
+
+@pytest.mark.parametrize("name", ["rook", "bishop"])
+def test_pruned_flat_denominator_matches_exhaustive_at_q4(name, square,
+                                                           monkeypatch):
+    # Where the per-set bound skips the most, every class must still match.
+    scanned = []
+    scan = bounds.scan_vertices
+
+    def counted(*args):
+        scanned.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(bounds, "scan_vertices", counted)
+    sl = intersection_semilattice(piece_from_text(name), 4)
+    for cls in sl.iso_classes:
+        flat = sl.flats[cls.representative]
+        assert bounds.flat_polytope_denominator(flat, square) == \
+            _exhaustive_flat_denominator(flat, square), cls
+    if name == "rook":
+        assert not scanned  # unimodular flats: every set is skipped
 
 
 class TestLcmd:

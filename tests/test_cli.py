@@ -287,6 +287,15 @@ class TestTypes:
         assert data["types"]["unlabelled"] == "6"
         assert data["census"][0]["unlabelled_types"] == "6"
 
+    def test_no_piece_report(self, capsys):
+        code, out = run_cli(capsys, "types", "--piece", "queen", "--q", "0",
+                            "--n", "1:6", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "types_report.schema.json")
+        assert data["q"] == 0
+        assert data["types"]["labelled"] == data["types"]["unlabelled"] == "1"
+
     def test_bad_census_is_usage_error_before_counting(self, capsys):
         # --n 1:3 is too short to fit: the census must be rejected first.
         code = main(["types", "--piece", "queen", "--q", "2", "--n", "1:3",

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import board_vertex_denominator
 
 from riderpoly import bounds, quasipoly as qp, symbolic
 from riderpoly.arrangement import alpha, intersection_semilattice, w_equal_flat
@@ -66,7 +67,7 @@ class TestFlatDenominators:
         # the same lcm.
         ms = piece_from_text(piece)
         board = board_from_text(board_text)
-        full_scan = bounds.board_vertex_denominator(
+        full_scan = board_vertex_denominator(
             [], bounds.grand_matrix(ms, board, q), board, q)
         assert bounds.denominator(ms, board, q) == full_scan
 
