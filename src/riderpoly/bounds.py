@@ -11,9 +11,8 @@ The inside-out denominator is taken flat by flat: by Beck and Zaslavsky
 inside-out polytope are the vertices of board^q cut by each flat of the
 move arrangement, so one small scan per isomorphism class of flats
 replaces a scan of every 2q x 2q system of the grand matrix.  A scan
-eliminates each set of row directions once for all its systems, and a
-flat skips a set whose denominator bound divides its lcm so far.  The
-grand matrix still sizes the system budget, checked before any work
+eliminates each set of row directions once; a flat skips the sets its lcm
+already covers.  The grand matrix still sizes the budget, checked first
 (criterion 9: the nightrider q = 4 denominator is refused by default).
 """
 
@@ -43,9 +42,8 @@ def moves_matrix(ms: MoveSet) -> tuple[tuple[int, int], ...]:
 
 
 def attack_rows(ms: MoveSet, q: int) -> tuple[tuple[int, ...], ...]:
-    """The top block of the grand matrix, the Kronecker product of K_q's
-    transposed oriented incidence matrix and ``moves_matrix``: the move
-    hyperplanes' rows, negated."""
+    """The top block of the grand matrix, K_q's transposed oriented
+    incidence matrix kron ``moves_matrix``: move hyperplane rows, negated."""
     return tuple(tuple(-x for x in hyperplane_row(h, ms, q))
                  for h in build_move_arrangement(ms, q))
 
@@ -76,17 +74,15 @@ def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
 
 
 def _bases(forced, optional, ncols: int):
-    """Yield (groups, d, affine) per set of row directions that completes
-    the forced rows to rank ``ncols``; ``groups`` lists the set's groups,
-    each as a list of (row, rhs, t).  One elimination serves all systems.
+    """Yield (groups, d, affine) per set of row directions completing the
+    forced rows to rank ``ncols``, a group being a list of (row, rhs, t).
 
-    Rows are grouped by primitive normal up to sign; a nonsingular system
-    takes one member of each group of a set.  A member row . x = rhs reads
-    N . x = t, N the primitive normal times the lcm of the members'
-    scales, t an integer.  ``insert_row``, shared along common prefixes,
-    takes a one-member group with rhs t and a larger one with -1 in a
-    column standing for its t, so each choice of members solves to
-    x = affine . (1, t of each larger group) / d.
+    Rows are grouped by primitive normal up to sign, and a system takes
+    one member per group: row . x = rhs reads N . x = t, N the primitive
+    normal times the lcm of the members' scales, t an integer.  Prefix-
+    shared ``insert_row`` eliminates each set once, with 1 in column
+    ncols + k for -t of the k-th larger group chosen, so every choice of
+    members solves to x = affine . (1, t of each larger group) / d.
     """
     found: dict = {}
     for row, rhs in optional:
@@ -99,25 +95,23 @@ def _bases(forced, optional, ncols: int):
         scale = lcm(*[s for _, _, s in rows])
         groups.append(([scale * x for x in normal],
                        [(row, rhs, rhs * scale // s) for row, rhs, s in rows]))
+    width = min(ncols, sum(len(m) > 1 for _, m in groups))
+    zeros = [0] * width
+    units = [zeros[:k] + [1] + zeros[k + 1:] for k in range(width)]
     base: list = []
     for row, rhs in forced:
-        extended = insert_row(row, rhs, base)
-        if extended is not None:
-            base = extended
-    # The k-th larger group chosen gets the t column ncols + k.
-    width = min(ncols - len(base), sum(len(m) > 1 for _, m in groups))
-    zeros = [0] * width
-    units = [zeros[:k] + [-1] + zeros[k + 1:] for k in range(width)]
-    base = [(p, erow + zeros, erhs) for p, erow, erhs in base]
+        base = insert_row([*row, *zeros], rhs, base) or base
 
     def rec(start: int, echelon, chosen, nt: int):
         need = ncols - len(echelon)
         if need == 0:
-            # A list: lcm(*generator) costs about 0.2 MB of peak RSS.
+            # A list: lcm(*generator) parks resized tuples on the tuple
+            # free list, about 0.2 MB of peak RSS per scan.
             d = lcm(*[erow[p] for p, erow, _ in echelon])
-            affine = [[c * (d // erow[p])
-                       for c in [erhs] + [-x for x in erow[ncols:ncols + nt]]]
-                      for p, erow, erhs in sorted(echelon)]
+            affine = [None] * ncols
+            for p, erow, erhs in echelon:
+                m = d // erow[p]
+                affine[p] = [c * m for c in [erhs, *erow[ncols:ncols + nt]]]
             yield chosen, d, affine
             return
         for idx in range(start, len(groups) - need + 1):
@@ -133,23 +127,26 @@ def _bases(forced, optional, ncols: int):
     yield from rec(0, base, [], 0)
 
 
+def _solve(groups, d, affine, feasible):
+    """Yield the feasible points of a ``_bases`` set, one per choice."""
+    for choice in product(*[m for m in groups if len(m) > 1]):
+        ts = [1] + [t for _, _, t in choice]
+        nums = [sum(map(mul, coeffs, ts)) for coeffs in affine]
+        g = gcd(d, *nums)
+        point = (d // g, tuple(x // g for x in nums))
+        if feasible(point):
+            yield point
+
+
 def scan_vertices(forced, optional, ncols: int, feasible):
     """Yield the solution of every nonsingular square system built from the rows.
 
-    Rows are (integer row, integer rhs) pairs.  ``forced`` rows take part
-    in every system; ``optional`` rows complete it, one per direction
-    group of each set from ``_bases``, solved by dot products.  A solution
-    is the point (d, nums), d > 0 least, whose coordinate i is nums[i] / d;
-    it is yielded if ``feasible(point)``.
+    Rows are (row, rhs) integer pairs; ``forced`` rows are in every system,
+    ``optional`` rows complete it as in ``_bases``.  A solution (d, nums),
+    d > 0 least, coordinate i nums[i] / d, is yielded if ``feasible``.
     """
     for groups, d, affine in _bases(forced, optional, ncols):
-        for choice in product(*[m for m in groups if len(m) > 1]):
-            ts = [1] + [t for _, _, t in choice]
-            nums = [sum(map(mul, coeffs, ts)) for coeffs in affine]
-            g = gcd(d, *nums)
-            point = (d // g, tuple(x // g for x in nums))
-            if feasible(point):
-                yield point
+        yield from _solve(groups, d, affine, feasible)
 
 
 def essential_rows(flat: Flat) -> list[tuple[int, ...]]:
@@ -169,12 +166,11 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
     every one of the 2 kappa coordinates is an integer row over the free
     coordinates, divided by L.  Each piece's board rows are projected
     through those rows, made primitive and deduplicated (pieces the flat
-    makes coincide share them).  For each set of their directions from
-    ``_bases``, every lifted coordinate is an affine form in the groups'
-    integer t's over d L, so d L // gcd(d L, all their coefficients)
-    bounds the set's vertex denominators.  A set whose bound divides the
-    lcm so far is skipped (every set of a rook flat is); the others are
-    scanned.  The alpha quasipolynomial's period divides this.
+    makes coincide share them).  Over each set of their directions from
+    ``_bases`` the lifted coordinates are affine in the groups' integer
+    t's over d L; ``denom`` of all their coefficients bounds the set's
+    vertex denominators, and a set whose bound divides the lcm so far is
+    skipped.  The alpha quasipolynomial's period divides this.
     """
     kappa = flat.kappa
     if kappa == 0:
@@ -201,20 +197,18 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
 
     def feasible(point) -> bool:
         d, nums = point
-        return all(sum(map(mul, row, nums)) <= rhs * d
+        return all(sum(a * x for a, x in zip(row, nums)) <= rhs * d
                    for row, rhs in projected)
 
     def denom(dl, vectors) -> int:
-        # The lcm of the lifted coordinates' denominators over dl.
         return dl // gcd(dl, *[sum(map(mul, row, v))
                                for row in lift for v in vectors])
 
     result = 1
     for groups, d, affine in _bases([], projected, len(free)):
         if result % denom(d * scale, list(zip(*affine))):
-            rows = [(row, rhs) for members in groups for row, rhs, _ in members]
-            for d, nums in scan_vertices([], rows, len(free), feasible):
-                result = lcm(result, denom(d * scale, [nums]))
+            for e, nums in _solve(groups, d, affine, feasible):
+                result = lcm(result, denom(e * scale, [nums]))
     return result
 
 
@@ -275,8 +269,13 @@ def lcmd_closed_form_two_moves(ms: MoveSet, q: int) -> int:
     """
     if len(ms) != 2:
         raise MoveSetError("the closed form applies to two-move pieces only")
-    (c1, d1), (c2, d2) = [(m.c, m.d) for m in ms.moves]
-    lcmd_m = lcm(*[x for x in (d1, c1, d2, c2, c1 * d2 - d1 * c2) if x])
+    (m1, m2) = ms.moves
+    c1, d1 = m1.c, m1.d
+    c2, d2 = m2.c, m2.d
+    lcmd_m = 1
+    for entry in (d1, -c1, d2, -c2, d1 * (-c2) - (-c1) * d2):
+        if entry:
+            lcmd_m = lcm(lcmd_m, abs(entry))
     result = lcmd_m ** (q - 1) if q > 1 else 1
     for p in range(1, q // 2 + 1):
         det_p = abs(d1**p * c2**p - c1**p * d2**p)
@@ -314,7 +313,7 @@ def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
             "closed form evaluates the two-move formula literally "
             "(for the bishop that is 2^(q-1), matching the table; the "
             "source text's 2^q remark disagrees with both)")
-    return {
+    report = {
         "piece": ms.label,
         "board": board.as_text(),
         "q": q,
@@ -328,3 +327,4 @@ def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
         "exhaustive": exhaustive,
         "notes": notes,
     }
+    return report

@@ -252,21 +252,23 @@ def _exhaustive_flat_denominator(flat, board):
 def test_pruned_flat_denominator_matches_exhaustive_at_q4(name, square,
                                                            monkeypatch):
     # Where the per-set bound skips the most, every class must still match.
-    scanned = []
-    scan = bounds.scan_vertices
+    solved = []
+    solve = bounds._solve
 
     def counted(*args):
-        scanned.append(args)
-        return scan(*args)
+        solved.append(args)
+        return solve(*args)
 
-    monkeypatch.setattr(bounds, "scan_vertices", counted)
     sl = intersection_semilattice(piece_from_text(name), 4)
     for cls in sl.iso_classes:
         flat = sl.flats[cls.representative]
-        assert bounds.flat_polytope_denominator(flat, square) == \
-            _exhaustive_flat_denominator(flat, square), cls
+        expected = _exhaustive_flat_denominator(flat, square)
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "_solve", counted)
+            assert bounds.flat_polytope_denominator(flat, square) == \
+                expected, cls
     if name == "rook":
-        assert not scanned  # unimodular flats: every set is skipped
+        assert not solved  # unimodular flats: every set is skipped
 
 
 class TestLcmd:
