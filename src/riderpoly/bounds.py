@@ -11,14 +11,15 @@ The inside-out denominator is taken flat by flat: by Beck and Zaslavsky
 inside-out polytope are the vertices of board^q cut by each flat of the
 move arrangement, so one small scan per isomorphism class of flats
 replaces a scan of every 2q x 2q system of the grand matrix.  A scan
-eliminates each set of row directions once; a flat skips the sets its lcm
-already covers.  The grand matrix still sizes the budget, checked first
-(criterion 9: the nightrider q = 4 denominator is refused by default).
+(``linalg.scan_vertices``) eliminates each set of row directions once; a
+flat skips the sets its lcm already covers.  The grand matrix still sizes
+the budget, checked first (criterion 9: the nightrider q = 4 denominator
+is refused by default).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -30,7 +31,8 @@ from .arrangement import (
 )
 from .errors import CapacityError, MoveSetError
 from .geometry import BoardPolygon, MoveSet
-from .linalg import bareiss_determinant, insert_row
+# scan_vertices stays importable here: perfbench/trace_job.py wraps it.
+from .linalg import _bases, _solve, bareiss_determinant, scan_vertices  # noqa: F401
 
 DEFAULT_SYSTEM_BUDGET = 10**7
 DEFAULT_MINOR_BUDGET = 10**6
@@ -52,7 +54,7 @@ def board_rows(board: BoardPolygon, k: int) -> list[tuple[tuple[int, ...], int]]
     """(row, rhs) per piece and board edge: the integer facets of board^k."""
     rows = []
     for piece in range(k):
-        for a, b, c in board.scaled_strict_rows(1):
+        for a, b, c in board.rows:
             row = [0] * (2 * k)
             row[2 * piece], row[2 * piece + 1] = a, b
             rows.append((tuple(row), c))
@@ -71,82 +73,6 @@ def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
     if q < 1:
         raise ValueError("q must be positive")
     return [(row, 0) for row in attack_rows(ms, q)] + board_rows(board, q)
-
-
-def _bases(forced, optional, ncols: int):
-    """Yield (groups, d, affine) per set of row directions completing the
-    forced rows to rank ``ncols``, a group being a list of (row, rhs, t).
-
-    Rows are grouped by primitive normal up to sign, and a system takes
-    one member per group: row . x = rhs reads N . x = t, N the primitive
-    normal times the lcm of the members' scales, t an integer.  Prefix-
-    shared ``insert_row`` eliminates each set once, with 1 in column
-    ncols + k for -t of the k-th larger group chosen, so every choice of
-    members solves to x = affine . (1, t of each larger group) / d.
-    """
-    found: dict = {}
-    for row, rhs in optional:
-        g = gcd(*row)
-        if g:  # a zero row is in no nonsingular system
-            g = g if next(x for x in row if x) > 0 else -g
-            found.setdefault(tuple(x // g for x in row), []).append((row, rhs, g))
-    groups = []
-    for normal, rows in found.items():
-        scale = lcm(*[s for _, _, s in rows])
-        groups.append(([scale * x for x in normal],
-                       [(row, rhs, rhs * scale // s) for row, rhs, s in rows]))
-    width = min(ncols, sum(len(m) > 1 for _, m in groups))
-    zeros = [0] * width
-    units = [zeros[:k] + [1] + zeros[k + 1:] for k in range(width)]
-    base: list = []
-    for row, rhs in forced:
-        base = insert_row([*row, *zeros], rhs, base) or base
-
-    def rec(start: int, echelon, chosen, nt: int):
-        need = ncols - len(echelon)
-        if need == 0:
-            # A list: lcm(*generator) parks resized tuples on the tuple
-            # free list, about 0.2 MB of peak RSS per scan.
-            d = lcm(*[erow[p] for p, erow, _ in echelon])
-            affine = [None] * ncols
-            for p, erow, erhs in echelon:
-                m = d // erow[p]
-                affine[p] = [c * m for c in [erhs, *erow[ncols:ncols + nt]]]
-            yield chosen, d, affine
-            return
-        for idx in range(start, len(groups) - need + 1):
-            normal, members = groups[idx]
-            several = len(members) > 1
-            extended = insert_row(normal + (units[nt] if several else zeros),
-                                  0 if several else members[0][2], echelon)
-            # A pivot in a t column: the direction is dependent.
-            if extended is not None and extended[-1][0] < ncols:
-                yield from rec(idx + 1, extended, chosen + [members],
-                               nt + several)
-
-    yield from rec(0, base, [], 0)
-
-
-def _solve(groups, d, affine, feasible):
-    """Yield the feasible points of a ``_bases`` set, one per choice."""
-    for choice in product(*[m for m in groups if len(m) > 1]):
-        ts = [1] + [t for _, _, t in choice]
-        nums = [sum(map(mul, coeffs, ts)) for coeffs in affine]
-        g = gcd(d, *nums)
-        point = (d // g, tuple(x // g for x in nums))
-        if feasible(point):
-            yield point
-
-
-def scan_vertices(forced, optional, ncols: int, feasible):
-    """Yield the solution of every nonsingular square system built from the rows.
-
-    Rows are (row, rhs) integer pairs; ``forced`` rows are in every system,
-    ``optional`` rows complete it as in ``_bases``.  A solution (d, nums),
-    d > 0 least, coordinate i nums[i] / d, is yielded if ``feasible``.
-    """
-    for groups, d, affine in _bases(forced, optional, ncols):
-        yield from _solve(groups, d, affine, feasible)
 
 
 def essential_rows(flat: Flat) -> list[tuple[int, ...]]:
@@ -189,7 +115,7 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
 
     projected = {}
     for k in range(kappa):
-        for a, b, c in board.scaled_strict_rows(1):
+        for a, b, c in board.rows:
             row = [a * x + b * y for x, y in zip(lift[2 * k], lift[2 * k + 1])]
             g = gcd(*row, c * scale)
             projected[tuple(x // g for x in row), c * scale // g] = None

@@ -126,13 +126,19 @@ def cmd_types(args) -> int:
     n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
-    fitted, period = _fit_table(args, table)
-    unlabelled_types = qp.types_count(fitted)
     census = []
     for n in range(c_from, c_to + 1):
         lab, unlab = census_types(ms, board, args.q, n, budget=args.budget)
         census.append({"n": n, "labelled_types": str(lab),
                        "unlabelled_types": str(unlab)})
+    if args.format != "json":
+        # Printed before the fit, which can fail; the census does not need it.
+        print(f"{ms.label} on {board.as_text()}, q={args.q}")
+        for row in census:
+            print(f"  census n={row['n']}: unlabelled {row['unlabelled_types']} "
+                  f"labelled {row['labelled_types']}")
+    fitted, period = _fit_table(args, table)
+    unlabelled_types = qp.types_count(fitted)
     data = {
         "piece": ms.label,
         "board": board.as_text(),
@@ -145,15 +151,9 @@ def cmd_types(args) -> int:
                     f"verified on n in [{n_from},{n_to}])",
         },
     }
-    pretty_lines = [f"{ms.label} on {board.as_text()}, q={args.q}"]
-    for row in census:
-        pretty_lines.append(
-            f"  census n={row['n']}: unlabelled {row['unlabelled_types']} "
-            f"labelled {row['labelled_types']}")
-    pretty_lines.append(
+    _emit(args, data, [
         f"  types from fit at n=-1: unlabelled {unlabelled_types}, "
-        f"labelled {factorial(args.q) * unlabelled_types}")
-    _emit(args, data, pretty_lines)
+        f"labelled {factorial(args.q) * unlabelled_types}"])
     return 0
 
 

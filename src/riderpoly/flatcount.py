@@ -38,8 +38,7 @@ class _PointGeometry:
             self.points = closed_lattice_points(board, t)
         else:
             self.points = interior_lattice_points(board, t)
-        self.bounds = [(a, b, c - (not closed))
-                       for a, b, c in board.scaled_strict_rows(t)]
+        self.bounds = [(a, b, t * c - (not closed)) for a, b, c in board.rows]
         self.index = {p: pid for pid, p in enumerate(self.points)}
         self.keys = attack_keys(ms, self.points)
         self.buckets = []

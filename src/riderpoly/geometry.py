@@ -7,9 +7,10 @@ parameter ``n`` are the integer points strictly inside the ``(n+1)``-fold
 dilate.  The integer points of the closed dilates give the flat counts at
 negative size parameters (see ``arrangement.alpha``).
 
-Everything is exact: plain integers for moves, lattice points and attack
-tests, ``fractions.Fraction`` for board geometry.  All values are
-immutable.
+Everything is exact: plain integers for moves, lattice points, attack
+tests and a board's inequalities (primitive integer rows), and
+``fractions.Fraction`` only for vertex coordinates and areas.  All values
+are immutable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BoardError, MoveSetError, Record
+from .linalg import scan_vertices
 
 Point = tuple[int, int]
 
@@ -118,38 +120,41 @@ def piece_from_text(text: str) -> MoveSet:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise MoveSetError(f"bad move syntax: {chunk!r}")
-        moves.append((int(parts[0]), int(parts[1])))
+        try:
+            c, d = map(int, chunk.split(","))
+        except ValueError:
+            raise MoveSetError(f"bad move syntax: {chunk!r}") from None
+        moves.append((c, d))
     return validate_move_set(moves)
 
 
 class BoardPolygon:
     """A bounded, full-dimensional convex polygon with rational data.
 
-    Constructed from boundary inequalities ``a*x + b*y <= beta``; the
-    vertex list is computed by pairwise intersection plus feasibility
-    filtering.  Redundant inequalities are rejected so that every
-    inequality supports a facet.
+    Constructed from boundary inequalities ``a*x + b*y <= beta``, kept in
+    ``rows`` as primitive integer rows ``(A, B, C)``, ``A*x + B*y <= C``,
+    equal at any positive scale; the vertices come from the integer vertex
+    scan (``linalg.scan_vertices``).  Repeated and redundant inequalities
+    are rejected so that every row supports a facet.
     """
 
-    __slots__ = ("inequalities", "vertices", "_text", "_extremes", "_hash")
+    __slots__ = ("rows", "vertices", "_text", "_extremes")
 
     def __init__(self, inequalities, text: str | None = None):
-        normalized = []
+        rows = []
         for a, b, beta in inequalities:
             a, b, beta = Fraction(a), Fraction(b), Fraction(beta)
             if a == 0 and b == 0:
                 raise BoardError("inequality with zero normal")
-            scale = Fraction(a.denominator * b.denominator,
-                             gcd(a.denominator * b.denominator, 1))
-            a, b, beta = a * scale, b * scale, beta * scale
-            g = gcd(int(a), int(b))
-            normalized.append((int(a) // g, int(b) // g, beta / g))
-        self.inequalities = tuple(normalized)
-        # Boards key the per-size caches; hashing Fractions is not cheap.
-        self._hash = hash(self.inequalities)
+            scale = lcm(a.denominator, b.denominator, beta.denominator)
+            row = (int(a * scale), int(b * scale), int(beta * scale))
+            g = gcd(*row)
+            row = tuple(x // g for x in row)
+            if row in rows:
+                raise BoardError("inequality {}*x + {}*y <= {} is repeated"
+                                 .format(*_inequality(row)))
+            rows.append(row)
+        self.rows = tuple(rows)
         self.vertices = self._compute_vertices()
         self._text = text
         xs = [x for x, _ in self.vertices]
@@ -159,31 +164,26 @@ class BoardPolygon:
                                for v in (min(xs), max(xs), min(ys), max(ys)))
 
     def _compute_vertices(self):
-        ineqs = self.inequalities
-        if len(ineqs) < 3:
+        rows = self.rows
+        if len(rows) < 3:
             raise BoardError("a bounded polygon needs at least 3 inequalities")
         self._check_bounded()
-        points = set()
-        for i in range(len(ineqs)):
-            a1, b1, c1 = ineqs[i]
-            for j in range(i + 1, len(ineqs)):
-                a2, b2, c2 = ineqs[j]
-                det = a1 * b2 - a2 * b1
-                if det == 0:
-                    continue
-                x = Fraction(c1 * b2 - c2 * b1, det)
-                y = Fraction(a1 * c2 - a2 * c1, det)
-                if all(a * x + b * y <= c for a, b, c in ineqs):
-                    points.add((x, y))
+
+        def feasible(point) -> bool:
+            d, (x, y) = point
+            return all(a * x + b * y <= c * d for a, b, c in rows)
+
+        scan = scan_vertices([], [((a, b), c) for a, b, c in rows], 2, feasible)
+        points = {(Fraction(x, d), Fraction(y, d)) for d, (x, y) in scan}
         hull = _convex_hull(sorted(points))
         if len(hull) < 3 or _shoelace(hull) == 0:
             raise BoardError("polygon is not full-dimensional")
-        for a, b, c in ineqs:
+        for a, b, c in rows:
             tight = sum(1 for x, y in hull if a * x + b * y == c)
             if tight < 2:
                 raise BoardError(
-                    f"inequality {a}*x + {b}*y <= {c} does not support a facet "
-                    "(redundant or degenerate)")
+                    "inequality {}*x + {}*y <= {} does not support a facet "
+                    "(redundant or degenerate)".format(*_inequality((a, b, c))))
         return tuple(hull)
 
     def _check_bounded(self):
@@ -191,12 +191,12 @@ class BoardPolygon:
         # trivial; any nontrivial cone contains a direction perpendicular
         # to some normal, or the negation of a normal.
         candidates = []
-        for a, b, _ in self.inequalities:
+        for a, b, _ in self.rows:
             candidates.extend([(-b, a), (b, -a), (-a, -b)])
         for dx, dy in candidates:
             if (dx, dy) == (0, 0):
                 continue
-            if all(a * dx + b * dy <= 0 for a, b, _ in self.inequalities):
+            if all(a * dx + b * dy <= 0 for a, b, _ in self.rows):
                 raise BoardError("polygon is unbounded")
 
     @property
@@ -207,30 +207,19 @@ class BoardPolygon:
     @property
     def denominator(self) -> int:
         """lcm of the denominators of all vertex coordinates."""
-        result = 1
-        for x, y in self.vertices:
-            result = lcm(result, x.denominator, y.denominator)
-        return result
-
-    def scaled_strict_rows(self, t: int):
-        """Integer triples (A, B, C) with the strict interior of t*B given by A*x + B*y < C."""
-        rows = []
-        for a, b, beta in self.inequalities:
-            q = beta.denominator
-            rows.append((a * q, b * q, t * beta.numerator))
-        return rows
+        return lcm(*[v.denominator for point in self.vertices for v in point])
 
     def as_text(self) -> str:
         if self._text:
             return self._text
         return "poly:" + ";".join(
-            f"{a},{b},{_frac_text(c)}" for a, b, c in self.inequalities)
+            ",".join(map(str, _inequality(row))) for row in self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, BoardPolygon) and self.inequalities == other.inequalities
+        return isinstance(other, BoardPolygon) and self.rows == other.rows
 
     def __hash__(self):
-        return self._hash
+        return hash(self.rows)
 
     def __repr__(self):
         return f"BoardPolygon({self.as_text()!r})"
@@ -245,7 +234,7 @@ class BoardPolygon:
         if a <= 0 or b <= 0:
             raise BoardError("rectangle sides must be positive")
         return cls([(-1, 0, 0), (0, -1, 0), (1, 0, a), (0, 1, b)],
-                   text=f"rect:{_frac_text(a)},{_frac_text(b)}")
+                   text=f"rect:{a},{b}")
 
 
 def board_from_text(text: str) -> BoardPolygon:
@@ -283,8 +272,11 @@ def _parse_fraction(text: str) -> Fraction:
         raise BoardError(f"bad rational number: {text!r}") from None
 
 
-def _frac_text(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _inequality(row) -> tuple[int, int, Fraction]:
+    """(a, b, beta) with a, b coprime: the row ``a*x + b*y <= beta`` as written."""
+    a, b, c = row
+    g = gcd(a, b)
+    return a // g, b // g, Fraction(c, g)
 
 
 def _convex_hull(points):
@@ -333,7 +325,7 @@ def bounding_box_cells(board: BoardPolygon, t: int) -> int:
 def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
     x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
     # a*x + b*y < c, or <= c for the closed dilate, as a*x + b*y <= bound
-    rows = [(a, b, c - strict) for a, b, c in board.scaled_strict_rows(t)]
+    rows = [(a, b, t * c - strict) for a, b, c in board.rows]
     points = []
     for x in range(x_lo, x_hi + 1):
         for y in range(y_lo, y_hi + 1):

@@ -148,16 +148,12 @@ class Quasipolynomial(Record, frozen=True):
         return {
             "degree": self.degree,
             "period": self.period,
-            "constituents": [[_frac_str(c) for c in cons]
+            "constituents": [[str(c) for c in cons]
                              for cons in self.constituents],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def from_json_dict(data: dict) -> Quasipolynomial:
@@ -329,7 +325,7 @@ def _poly_str(coeffs, var: str) -> str:
         sign = "-" if c < 0 else "+"
         c = abs(c)
         if power == 0:
-            body = _frac_str(c)
+            body = str(c)
         else:
             v = var if power == 1 else f"{var}^{power}"
             if c == 1:

@@ -4,7 +4,7 @@ from math import comb, factorial
 from random import Random
 
 import pytest
-from conftest import DIRECTIONS, RANDOM_BOARDS, random_pieces
+from conftest import DIRECTIONS, RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
 from hypothesis import given, settings, strategies as st
 
 from riderpoly.arrangement import (
@@ -24,6 +24,7 @@ from riderpoly.arrangement import (
 from riderpoly.counting import attack_keys, count_nonattacking
 from riderpoly.errors import CapacityError
 from riderpoly.geometry import (
+    BoardPolygon,
     board_from_text,
     closed_lattice_points,
     interior_lattice_points,
@@ -437,6 +438,15 @@ class TestReconstruction:
         for n in range(1, 9):
             lab, _ = count_nonattacking(ms, square, q, n)
             assert reconstruct_count(sl, square, n) == lab
+
+    @settings(max_examples=50, deadline=None)
+    @given(ms=random_pieces(), inequalities=RATIONAL_BOARDS)
+    def test_oracle_equivalence_on_rational_boards(self, ms, inequalities):
+        board = BoardPolygon(inequalities)
+        sl = intersection_semilattice(ms, 2)
+        for n in range(0, 5):
+            lab, unlab = count_nonattacking(ms, board, 2, n)
+            assert reconstruct_count(sl, board, n) == 2 * unlab == lab, n
 
     @settings(max_examples=60, deadline=None)
     @given(ms=random_pieces(), q=st.integers(1, 3),

@@ -142,9 +142,9 @@ def _cramer_vertices(forced, optional, ncols, board):
 
 
 def _inside(point, board) -> bool:
-    return all(a * point[i] + b * point[i + 1] <= beta
+    return all(a * point[i] + b * point[i + 1] <= c
                for i in range(0, len(point), 2)
-               for a, b, beta in board.inequalities)
+               for a, b, c in board.rows)
 
 
 @pytest.mark.parametrize("board_text", [

@@ -173,6 +173,24 @@ class TestCount:
                           "--n", "1:3")
         assert code == 2
 
+    def test_bad_move_names_the_piece(self, capsys):
+        code = main(["count", "--piece", "1,a", "--q", "2", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: bad move syntax: '1,a'\n"
+
+    @pytest.mark.parametrize("board", [
+        "poly:-1,0,0;0,-1,0;1,0,1;0,1,1;0,1,1",
+        "poly:-1,0,0;0,-1,0;1,0,1;0,1,1;0,2,2"])
+    def test_repeated_inequality_is_usage_error(self, capsys, board):
+        code = main(["count", "--piece", "queen", "--q", "2", "--n", "3:4",
+                     "--board", board])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: inequality 0*x + 1*y <= 1 is repeated\n"
+
     @pytest.mark.parametrize("board", ["rect:1/0,1",
                                        "poly:-1,0,0;0,-1,0;1,1,1/0"])
     def test_zero_denominator_board_is_usage_error(self, capsys, board):
@@ -304,6 +322,22 @@ class TestTypes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: --census must be n or a:b, got '2:x'\n"
+
+    def test_census_printed_before_a_failed_fit(self, capsys):
+        # No period fits --n 1:14 for three queens; the census rows do not
+        # depend on the fit and stay on stdout.
+        code = main(["types", "--piece", "queen", "--q", "3", "--n", "1:14",
+                     "--census", "1:4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines() == [
+            "queen on square, q=3",
+            "  census n=1: unlabelled 0 labelled 0",
+            "  census n=2: unlabelled 0 labelled 0",
+            "  census n=3: unlabelled 0 labelled 0",
+            "  census n=4: unlabelled 8 labelled 48"]
+        assert captured.err.startswith(
+            "error: no candidate period fits the table: ")
 
     @pytest.mark.parametrize("fmt", ["pretty", "json"])
     def test_reversed_census_is_usage_error_before_counting(self, capsys, fmt):

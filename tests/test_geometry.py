@@ -1,9 +1,10 @@
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import RATIONAL_BOARDS
 from riderpoly.errors import BoardError, MoveSetError, RiderPolyError
 from riderpoly.geometry import (
     BoardPolygon,
@@ -89,7 +90,7 @@ class TestBoard:
 
     def test_vertices_tight_on_two_facets(self, square):
         for x, y in square.vertices:
-            tight = sum(1 for a, b, c in square.inequalities
+            tight = sum(1 for a, b, c in square.rows
                         if a * x + b * y == c)
             assert tight >= 2
 
@@ -102,6 +103,68 @@ class TestBoard:
         for text in ("queen", "nightrider", "1,3;2,-1"):
             ms = piece_from_text(text)
             assert piece_from_text(ms.label).moves == ms.moves
+
+
+def _cramer_vertices(rows):
+    """Every pair of non-parallel rows solved by Cramer's rule in Fraction,
+    kept if it satisfies all rows: the board's vertices."""
+    points = set()
+    for i, (a1, b1, c1) in enumerate(rows):
+        for a2, b2, c2 in rows[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x = Fraction(c1 * b2 - c2 * b1, det)
+            y = Fraction(a1 * c2 - a2 * c1, det)
+            if all(a * x + b * y <= c for a, b, c in rows):
+                points.add((x, y))
+    return points
+
+
+def _facet_area(rows, vertices):
+    """Half the sum over facets of c times the edge length over |(a, b)|:
+    the area, with no vertex order needed."""
+    total = Fraction(0)
+    for a, b, c in rows:
+        (px, py), (qx, qy) = [v for v in vertices
+                              if a * v[0] + b * v[1] == c]
+        total += c * abs((qy - py) / a if a else (qx - px) / -b)
+    return total / 2
+
+
+class TestRationalBoards:
+    @settings(max_examples=60, deadline=None)
+    @given(RATIONAL_BOARDS, st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=6),
+        min_size=5, max_size=5))
+    def test_matches_fraction_reference(self, inequalities, scales):
+        board = BoardPolygon(inequalities)
+        reference = _cramer_vertices(board.rows)
+        assert set(board.vertices) == reference
+        assert len(board.vertices) == len(reference)
+        assert board.denominator == lcm(
+            *(v.denominator for point in reference for v in point))
+        assert board.area == _facet_area(board.rows, reference)
+
+        scaled = BoardPolygon([(k * a, k * b, k * beta) for (a, b, beta), k
+                               in zip(inequalities, scales)])
+        assert scaled == board and hash(scaled) == hash(board)
+        assert BoardPolygon(board.rows) == board
+
+        for t in range(0, 4):
+            xs = [t * x for x, _ in reference]
+            ys = [t * y for _, y in reference]
+            box = [(x, y) for x in range(ceil(min(xs)), floor(max(xs)) + 1)
+                   for y in range(ceil(min(ys)), floor(max(ys)) + 1)]
+            assert closed_lattice_points(board, t) == [
+                (x, y) for x, y in box
+                if all(a * x + b * y <= t * beta
+                       for a, b, beta in inequalities)]
+            if t:
+                assert interior_lattice_points(board, t) == [
+                    (x, y) for x, y in box
+                    if all(a * x + b * y < t * beta
+                           for a, b, beta in inequalities)]
 
 
 # Number-like fields, kept short: an exponent such as 1e9999999 is parsed
@@ -159,7 +222,7 @@ class TestInteriorLatticePoints:
     def test_all_box_points_classified(self, square):
         t = 5
         inside = set(interior_lattice_points(square, t))
-        rows = square.scaled_strict_rows(t)
+        rows = [(a, b, t * c) for a, b, c in square.rows]
         for x in range(-1, t + 2):
             for y in range(-1, t + 2):
                 strict = all(a * x + b * y < c for a, b, c in rows)
@@ -186,7 +249,7 @@ class TestClosedLatticePoints:
     def test_boundary_points_added(self, board_text):
         board = board_from_text(board_text)
         for t in range(1, 7):
-            rows = board.scaled_strict_rows(t)
+            rows = [(a, b, t * c) for a, b, c in board.rows]
             closed = closed_lattice_points(board, t)
             assert closed == sorted(closed)
             assert set(interior_lattice_points(board, t)) == {
