@@ -14,7 +14,9 @@ flats (counted in ``flatcount``) reconstructs the nonattacking count,
 independently of the brute-force enumerator.  A flat's count is defined
 at every integer n: at negative n it is the signed count in a closed
 dilate (Ehrhart-Macdonald reciprocity), and at n = -1 the sum counts the
-configuration types.
+configuration types.  ``flatcount`` is imported inside the three
+functions that use it, so commands that count no flat (``bounds``,
+brute-force ``count``, ``fit``, ``types``) never compile it at start-up.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from itertools import combinations, permutations
 
 from .counting import DEFAULT_BUDGET, check_board_walk
 from .errors import CapacityError, Record
-from .flatcount import count_flat, geometry_at, slope_components
 from .geometry import BoardPolygon, MoveSet
 from .linalg import insert_row
 
@@ -266,6 +267,7 @@ def is_connected(flat: Flat) -> bool:
     Mobius values and lattice-point counts multiply over the components,
     so only connected flats enter the exponential-formula assembly.
     """
+    from .flatcount import slope_components
     return len(slope_components(flat)) == 1
 
 
@@ -333,6 +335,7 @@ def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
     Enumerates over the essential coordinates only: pieces the flat does
     not involve contribute no factor here.
     """
+    from .flatcount import count_flat
     value = count_flat(sl.ms, flat, board, n, budget)
     if n < 0 and flat.codim % 2:
         value = -value      # (-1)^d with d = 2*kappa - codim
@@ -350,6 +353,7 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     quasipolynomial's value there (see ``alpha``): at n = -1 it is
     sum mu(U) * (-1)^codim(U), q! times the number of configuration types.
     """
+    from .flatcount import geometry_at
     check_board_walk(board, n, budget)
     npts = len(geometry_at(sl.ms, board, n).points)
     total = 0

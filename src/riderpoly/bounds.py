@@ -15,11 +15,16 @@ replaces a scan of every 2q x 2q system of the grand matrix.  A scan
 flat skips the sets its lcm already covers.  The grand matrix still sizes
 the budget, checked first (criterion 9: the nightrider q = 4 denominator
 is refused by default).
+
+The subdeterminant lcm (``lcmd_direct``) computes no determinant one by
+one: each row set's minors come from those of the row set below it by
+Laplace expansion along the new top row, and a row set whose minors all
+vanish prunes every row set built on it.  Its budget counts the minors
+and is checked first too.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -32,7 +37,7 @@ from .arrangement import (
 from .errors import CapacityError, MoveSetError
 from .geometry import BoardPolygon, MoveSet
 # scan_vertices stays importable here: perfbench/trace_job.py wraps it.
-from .linalg import _bases, _solve, bareiss_determinant, scan_vertices  # noqa: F401
+from .linalg import _bases, _solve, scan_vertices  # noqa: F401
 
 DEFAULT_SYSTEM_BUDGET = 10**7
 DEFAULT_MINOR_BUDGET = 10**6
@@ -166,7 +171,17 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
 
 def lcmd_direct(matrix, order: int | None = None,
                 budget: int = DEFAULT_MINOR_BUDGET) -> int:
-    """lcm of |m| over all nonzero minors m of orders 1..order."""
+    """lcm of |m| over all nonzero minors m of orders 1..order.
+
+    Row sets are built by putting a smaller row on top of one already
+    done, so each is expanded once.  A row set R keeps its nonzero minors
+    as a dict from column mask to minor; those of {r} | R, for r < min R,
+    follow by Laplace expansion along row r: a[r][c] * m(C) with sign
+    (-1)^#(C below c) goes to C | {c}.  Entries summing to zero are
+    dropped, and an empty dict prunes the branch: every larger row set
+    with R as its lower rows has only zero minors.  The budget counts
+    every minor of orders 1..order and is checked first.
+    """
     rows = [tuple(row) for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -175,14 +190,31 @@ def lcmd_direct(matrix, order: int | None = None,
     if total > budget:
         raise CapacityError(f"{total} minors exceed budget {budget}",
                             minors=total, budget=budget)
+    # Per row and nonzero entry a in column c: the column's bit, the bits
+    # of the columns below it, and a with each expansion sign.
+    entries = [[(1 << c, (1 << c) - 1, a, -a) for c, a in enumerate(row) if a]
+               for row in rows]
     result = 1
-    for size in range(1, max_order + 1):
-        for rsel in combinations(range(nrows), size):
-            sub = [rows[r] for r in rsel]
-            for csel in combinations(range(ncols), size):
-                det = bareiss_determinant([[row[c] for c in csel] for row in sub])
-                if det:
-                    result = lcm(result, abs(det))
+
+    def expand(top: int, minors: dict, size: int) -> None:
+        nonlocal result
+        for r in range(top):
+            grown = {}
+            get = grown.get
+            for mask, m in minors.items():
+                for bit, below, a, neg in entries[r]:
+                    if not mask & bit:
+                        key = mask | bit
+                        sign = (mask & below).bit_count() & 1
+                        grown[key] = get(key, 0) + (neg if sign else a) * m
+            grown = {key: m for key, m in grown.items() if m}
+            if grown:
+                result = lcm(result, *grown.values())
+                if size + 1 < max_order:
+                    expand(r, grown, size + 1)
+
+    if max_order > 0:
+        expand(nrows, {0: 1}, 0)
     return result
 
 

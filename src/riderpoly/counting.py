@@ -36,10 +36,11 @@ def attack_keys(ms: MoveSet, points) -> list[list[int]]:
 def check_board_walk(board: BoardPolygon, n: int, budget: int) -> None:
     """Refuse the cell walk at size n if its bounding box exceeds the budget.
 
-    ``interior_lattice_points`` visits every point of the bounding box, so
-    every caller that walks the board under a budget checks here first.  A
-    negative n walks the closed (-n-1)-fold dilate instead of the interior
-    of the (n+1)-fold one (see ``arrangement.alpha``).
+    The bounding box bounds the cells ``interior_lattice_points`` returns
+    (it walks the box column by column, each row cutting the column's y
+    range), so every caller that walks the board under a budget checks
+    here first.  A negative n walks the closed (-n-1)-fold dilate instead
+    of the interior of the (n+1)-fold one (see ``arrangement.alpha``).
     """
     cells = bounding_box_cells(board, n + 1 if n >= 0 else -1 - n)
     if cells > budget:

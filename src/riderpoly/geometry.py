@@ -317,7 +317,7 @@ def _lattice_box(board: BoardPolygon, t: int) -> tuple[int, int, int, int]:
 
 
 def bounding_box_cells(board: BoardPolygon, t: int) -> int:
-    """Integer points of the t-fold dilate's bounding box: the cost of a cell walk."""
+    """Integer points of the t-fold dilate's bounding box: a cell walk's bound."""
     x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
     return max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
 
@@ -328,9 +328,18 @@ def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
     rows = [(a, b, t * c - strict) for a, b, c in board.rows]
     points = []
     for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            if all(a * x + b * y <= c for a, b, c in rows):
-                points.append((x, y))
+        # Each row bounds y in column x: b * y <= c - a * x.
+        lo, hi = y_lo, y_hi
+        for a, b, c in rows:
+            rest = c - a * x
+            if b > 0:
+                hi = min(hi, rest // b)
+            elif b < 0:
+                lo = max(lo, -(rest // -b))
+            elif rest < 0:
+                break
+        else:
+            points.extend((x, y) for y in range(lo, hi + 1))
     return points
 
 

@@ -6,8 +6,10 @@ their content.  The semilattice closure extends each flat's stored
 echelon with it, the one vertex scan (``scan_vertices``: the board's
 vertices and the inside-out denominators) solves its systems with it, and
 ``canonical_int_rows`` (the key of a row space, which the closure's keys
-equal) and ``in_row_space`` are built on it; determinants use Bareiss.
-There is no floating point and no ``Fraction`` here.
+equal) and ``in_row_space`` are built on it.  ``bareiss_determinant`` is
+kept for the tests' references (Cramer's rule, minors one by one):
+``bounds.lcmd_direct`` expands minors row by row instead.  There is no
+floating point and no ``Fraction`` here.
 """
 
 from __future__ import annotations

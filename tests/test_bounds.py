@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, lcm
 
 import pytest
-from conftest import DIRECTIONS, board_vertex_denominator
+from conftest import DIRECTIONS, board_vertex_denominator, random_pieces
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import bounds
@@ -271,7 +271,47 @@ def test_pruned_flat_denominator_matches_exhaustive_at_q4(name, square,
         assert not solved  # unimodular flats: every set is skipped
 
 
+def lcmd_by_minors(matrix, order=None) -> int:
+    """Reference lcmd: one Bareiss determinant per minor of orders 1..order."""
+    rows = [tuple(row) for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    top = min(len(rows), ncols) if order is None else min(order, len(rows), ncols)
+    result = 1
+    for size in range(1, top + 1):
+        for rsel in combinations(range(len(rows)), size):
+            for csel in combinations(range(ncols), size):
+                det = bareiss_determinant([[rows[r][c] for c in csel]
+                                           for r in rsel])
+                if det:
+                    result = lcm(result, abs(det))
+    return result
+
+
+# Integer matrices up to 6 x 6, about half of their entries zero.
+SPARSE_MATRICES = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-6, 6)),
+                 min_size=ncols, max_size=ncols),
+        min_size=1, max_size=6))
+ORDERS = st.sampled_from((None, 1, 2, 3))
+
+
 class TestLcmd:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=SPARSE_MATRICES, order=ORDERS)
+    def test_expansion_matches_minors(self, matrix, order):
+        assert bounds.lcmd_direct(matrix, order) == lcmd_by_minors(matrix, order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ms=random_pieces(), q=st.sampled_from((2, 3)), order=ORDERS)
+    def test_attack_rows_match_minors(self, ms, q, order):
+        rows = bounds.attack_rows(ms, q)
+        assert bounds.lcmd_direct(rows, order) == lcmd_by_minors(rows, order)
+
+    def test_no_nonzero_minor_gives_one(self):
+        assert bounds.lcmd_direct([]) == 1
+        assert bounds.lcmd_direct([(0, 0, 0)] * 4) == 1
+
     def test_move_matrix_nightrider(self, nightrider):
         assert bounds.lcmd_direct(bounds.moves_matrix(nightrider)) == 60
 
@@ -313,8 +353,6 @@ class TestClosedForm:
             assert bounds.lcmd_closed_form_two_moves(bishop, q) == direct == 2 ** (q - 1)
 
 
-@pytest.mark.skipif("RIDERPOLY_STRETCH" not in __import__("os").environ,
-                    reason="~3 minute stretch job; set RIDERPOLY_STRETCH=1")
 def test_stretch_nightrider_q4_lcmd(nightrider):
     value = bounds.lcmd_direct(bounds.attack_rows(nightrider, 4),
                                budget=11_000_000)

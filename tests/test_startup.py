@@ -2,8 +2,10 @@
 
 Every CLI run pays for its imports before any counting starts, so the
 start-up path must not load modules that no command needs: ``dataclasses``
-(and the ``inspect`` it pulls in) or the ``verify`` battery, which only
-``riderpoly verify`` imports.  The benchmark's tracer
+(and the ``inspect`` it pulls in), the ``verify`` battery, which only
+``riderpoly verify`` imports, or ``flatcount``, which only the Mobius
+route's flat counts import (``bounds``, brute-force ``count``, ``fit`` and
+``types`` never compile it).  The benchmark's tracer
 (``perfbench/trace_job.py``) needs the opposite for the layers it wraps:
 it looks them up in ``sys.modules`` right after ``import riderpoly.cli``,
 and finds each function it wraps by name on its module.
@@ -41,7 +43,8 @@ def test_cli_import_loads_traced_layers_only():
         env=env, capture_output=True, text=True, timeout=60, check=True)
     report = json.loads(proc.stdout)
     loaded = set(report["loaded"])
-    assert not loaded & {"dataclasses", "inspect", "riderpoly.verify"}
+    assert not loaded & {"dataclasses", "inspect", "riderpoly.verify",
+                         "riderpoly.flatcount"}
     assert report["traced"] and set(report["traced"]) <= loaded
     # Each wrapped function must still be found under the module the
     # tracer names, or ``--trace 1`` fails.
