@@ -19,6 +19,7 @@ from .geometry import (
     Configuration,
     MoveSet,
     bounding_box_cells,
+    interior_lattice_count,
     interior_lattice_points,
 )
 
@@ -57,21 +58,23 @@ def check_range(n_from: int, n_to: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
-    """The cells at size n, once the walk and the search fit the budget.
-
-    The walk is checked before it starts; the search envelope after it.
-    """
+def _check_budget(board: BoardPolygon, q: int, n: int, budget: int) -> None:
+    """Refuse size n if its cell walk or its search envelope exceeds the
+    budget, before any cell is listed.  The walk is checked first."""
     if q < 1:
         raise ValueError("q must be positive")
     check_board_walk(board, n, budget)
-    points = interior_lattice_points(board, n + 1)
-    envelope = len(points) ** min(q, 3)
+    envelope = interior_lattice_count(board, n + 1) ** min(q, 3)
     if envelope > budget:
         raise CapacityError(
             f"search envelope {envelope} exceeds budget {budget} at n={n}",
             n=n, envelope=envelope, budget=budget)
-    return points
+
+
+def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
+    """The cells at size n, once the walk and the search fit the budget."""
+    _check_budget(board, q, n, budget)
+    return interior_lattice_points(board, n + 1)
 
 
 def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
@@ -79,16 +82,10 @@ def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     """(labelled, unlabelled) counts of nonattacking placements of q pieces.
 
     Places pieces on the integer points strictly inside the (n+1)-fold
-    dilate of the board.  q = 0 counts the empty placement once.
+    dilate of the board.  q = 0 counts the empty placement once.  The
+    one-row ``count_series``, so the kernel's last running count.
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    check_range(n, n)
-    if q == 0:
-        return 1, 1
-    points = _budgeted_points(board, q, n, budget)
-    unlabelled = kernel.count_nonattacking_subsets(attack_keys(ms, points), q)
-    return factorial(q) * unlabelled, unlabelled
+    return count_series(ms, board, q, n, n, budget).rows[n]
 
 
 class CountTable(Record):
@@ -152,14 +149,49 @@ class CountTable(Record):
 def count_series(ms: MoveSet, board: BoardPolygon, q: int,
                  n_from: int, n_to: int,
                  budget: int = DEFAULT_BUDGET) -> CountTable:
-    """One count_nonattacking row per n in [n_from, n_to].
+    """One ``count_nonattacking`` row per n in [n_from, n_to].
 
-    Capacity errors carry the offending n.
+    Every size's board walk and search envelope are checked before any
+    cell is listed, so a capacity error names the first n over budget with
+    nothing counted.  Then one kernel call per run of nested sizes (see
+    ``_nested_runs``; the board's dilates nest when it contains the
+    origin) counts each placement once, at the size where its last cell
+    appears: row n is the running count at the last cell of size n.
     """
     check_range(n_from, n_to)
-    rows = {n: count_nonattacking(ms, board, q, n, budget)
-            for n in range(n_from, n_to + 1)}
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    sizes = range(n_from, n_to + 1)
+    if q == 0:
+        return CountTable(ms.label, board, q, dict.fromkeys(sizes, (1, 1)))
+    for n in sizes:
+        _check_budget(board, q, n, budget)
+    fq = factorial(q)
+    rows = {}
+    for cells, ends in _nested_runs(board, sizes):
+        totals = kernel.count_nonattacking_subsets(attack_keys(ms, cells), q)
+        rows.update((n, (fq * totals[k], totals[k])) for n, k in ends)
     return CountTable(ms.label, board, q, rows)
+
+
+def _nested_runs(board: BoardPolygon, sizes):
+    """Yield (cells, ends) per run of sizes whose cells each contain the
+    previous size's.
+
+    ``cells`` lists the run's cells in the order they first appear, and
+    ``ends`` holds (n, the number of cells at size n) per size of the run.
+    """
+    cells, ends, previous = [], [], set()
+    for n in sizes:
+        points = interior_lattice_points(board, n + 1)
+        current = set(points)
+        if ends and not previous <= current:
+            yield cells, ends
+            cells, ends, previous = [], [], set()
+        cells.extend(p for p in points if p not in previous)
+        ends.append((n, len(cells)))
+        previous = current
+    yield cells, ends
 
 
 def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,

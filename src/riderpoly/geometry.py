@@ -322,11 +322,14 @@ def bounding_box_cells(board: BoardPolygon, t: int) -> int:
     return max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
 
 
-def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
+def _columns(board: BoardPolygon, t: int, strict: bool):
+    """Yield (x, y_lo, y_hi) per column of the t-fold dilate's lattice points.
+
+    A column with no points may come as y_lo > y_hi.
+    """
     x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
     # a*x + b*y < c, or <= c for the closed dilate, as a*x + b*y <= bound
     rows = [(a, b, t * c - strict) for a, b, c in board.rows]
-    points = []
     for x in range(x_lo, x_hi + 1):
         # Each row bounds y in column x: b * y <= c - a * x.
         lo, hi = y_lo, y_hi
@@ -339,8 +342,12 @@ def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
             elif rest < 0:
                 break
         else:
-            points.extend((x, y) for y in range(lo, hi + 1))
-    return points
+            yield x, lo, hi
+
+
+def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
+    return [(x, y) for x, lo, hi in _columns(board, t, strict)
+            for y in range(lo, hi + 1)]
 
 
 def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
@@ -348,6 +355,12 @@ def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
     return _lattice_points(board, t, True)
+
+
+def interior_lattice_count(board: BoardPolygon, t: int) -> int:
+    """How many points ``interior_lattice_points`` returns, from its column
+    ranges alone: one pass over the columns, none over the points."""
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _columns(board, t, True))
 
 
 def closed_lattice_points(board: BoardPolygon, t: int) -> list[Point]:

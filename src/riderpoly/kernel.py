@@ -2,11 +2,12 @@
 
 Cells are identified by their per-move attack keys: cells p and p' are
 attacked along move r exactly when ``keys[r][p] == keys[r][p']``.  Each
-cell i gets one int bitmask of the cells after it that share no key with
-it, so choosing a cell is one AND with the candidate mask.  The count
-makes no call for its last two levels: the last is the popcount of the
-candidates left, and at q = 2 the whole count is the sum of the masks'
-popcounts.
+cell i gets one int bitmask of the cells that share no key with it, so
+choosing a cell is one AND with the candidate mask.  A count groups the
+subsets by their highest cell c, whose rest is a (q-1)-subset of the
+cells before c that c does not attack, so one pass counts every prefix of
+the cells.  No call is made for the last two levels: the last is the
+popcount of the candidates left, at q = 2 that of c's earlier cells.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ def implementation_name() -> str:
     return "pure-python"
 
 
-def _later_unattacked(keys) -> list[int]:
-    """Per cell i, the bitmask of cells j > i sharing no attack key with i."""
-    npts = len(keys[0])
+def _unattacked(keys) -> list[int]:
+    """Per cell i, the bitmask of cells j sharing no attack key with i."""
+    npts = len(keys[0]) if keys else 0
     attacked = [0] * npts
     for col in keys:
         lines: dict[int, int] = {}
@@ -27,26 +28,20 @@ def _later_unattacked(keys) -> list[int]:
         for idx, key in enumerate(col):
             attacked[idx] |= lines[key]
     full = (1 << npts) - 1
-    return [full >> (idx + 1) << (idx + 1) & ~attacked[idx]
-            for idx in range(npts)]
+    return [full ^ mask for mask in attacked]
 
 
-def count_nonattacking_subsets(keys, q: int) -> int:
-    """Number of q-subsets of cells with no two cells sharing any attack key.
+def count_nonattacking_subsets(keys, q: int) -> list[int]:
+    """Running counts of the q-subsets of cells with no two cells sharing
+    any attack key: entry k counts those among the first k cells.
 
     ``keys`` is a list with one sequence of integer keys per move, all of
-    the same length (the number of cells).
+    the same length (the number of cells); the last entry counts them all.
     """
-    if q == 0:
-        return 1
     npts = len(keys[0]) if keys else 0
-    if q == 1:
-        return npts
-    if npts < q:
-        return 0
-    masks = _later_unattacked(keys)
-    if q == 2:
-        return sum(mask.bit_count() for mask in masks)
+    if q < 2:
+        return [1] * (npts + 1) if q == 0 else list(range(npts + 1))
+    masks = _unattacked(keys)
 
     def extend(cand: int, left: int) -> int:
         """Nonattacking left-subsets of the cells in cand, left >= 2."""
@@ -54,12 +49,17 @@ def count_nonattacking_subsets(keys, q: int) -> int:
         while cand:
             low = cand & -cand
             cand ^= low
+            # cand now holds only cells after low.
             rest = cand & masks[low.bit_length() - 1]
             total += rest.bit_count() if left == 2 else extend(rest, left - 1)
         return total
 
-    # masks[i] holds the candidates for the cells after a first cell i.
-    return sum(extend(mask, q - 1) for mask in masks)
+    totals = [0]
+    for cell, mask in enumerate(masks):
+        earlier = mask & ((1 << cell) - 1)
+        totals.append(totals[-1] + (earlier.bit_count() if q == 2
+                                    else extend(earlier, q - 1)))
+    return totals
 
 
 def iter_nonattacking_subsets(keys, q: int):
@@ -67,7 +67,7 @@ def iter_nonattacking_subsets(keys, q: int):
 
     Tuples come in lexicographic order; ``q`` must be positive.
     """
-    masks = _later_unattacked(keys)
+    masks = _unattacked(keys)
 
     def extend(cand: int, chosen: tuple, left: int):
         while cand:

@@ -28,10 +28,10 @@ from .counting import (
     CountTable,
     check_board_walk,
     check_range,
-    count_nonattacking,
+    count_series,
 )
 from .errors import RiderPolyError
-from .geometry import BoardPolygon, interior_lattice_points
+from .geometry import BoardPolygon, interior_lattice_count
 
 
 def board_count_qp(board: BoardPolygon,
@@ -46,7 +46,7 @@ def board_count_qp(board: BoardPolygon,
     ns = range(0, 5 * period)
     for n in ns:
         check_board_walk(board, n, budget)
-    values = {n: len(interior_lattice_points(board, n + 1)) for n in ns}
+    values = {n: interior_lattice_count(board, n + 1) for n in ns}
     return qp.fit_values(values, period, 2).reduced()
 
 
@@ -128,8 +128,8 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
     check_range(n_from, n_to)
     labelled_qp, _ = reconstruction_quasipolynomials(sl, board, budget)
     fq = factorial(sl.q)
-    for n in range(0, cross_check_up_to + 1):
-        expected, _ = count_nonattacking(sl.ms, board, sl.q, n, budget)
+    brute = count_series(sl.ms, board, sl.q, 0, cross_check_up_to, budget)
+    for n, (expected, _) in brute.rows.items():
         got = labelled_qp.evaluate(n)
         if got != expected:
             raise RiderPolyError(

@@ -4,9 +4,10 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from conftest import RANDOM_BOARDS, random_pieces
+from conftest import RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
 from hypothesis import given, settings, strategies as st
 
+from riderpoly import counting, kernel
 from riderpoly.counting import (
     ConfigType,
     CountTable,
@@ -18,7 +19,16 @@ from riderpoly.counting import (
     labelled_type_of,
 )
 from riderpoly.errors import AttackingConfigurationError, CapacityError
-from riderpoly.geometry import Configuration, board_from_text, interior_lattice_points
+from riderpoly.geometry import (
+    BoardPolygon,
+    Configuration,
+    board_from_text,
+    interior_lattice_points,
+)
+
+# [1,2] x [0,1]: no two of its dilates' interiors nest, so every size
+# starts a new run of count_series.
+OFF_ORIGIN = "poly:-1,0,-1;1,0,2;0,-1,0;0,1,1"
 
 
 class TestCountNonattacking:
@@ -66,10 +76,62 @@ class TestCountSeries:
         table = count_series(rook, square, 0, 1, 5)
         assert all(table.rows[n] == (1, 1) for n in table.ns())
 
-    def test_capacity_error_carries_n(self, queen, square):
+    def test_capacity_error_carries_n(self, queen, square, monkeypatch):
+        # Every size is checked before any cell is listed or counted, and
+        # the refusal names the first size over budget.
+        def unreachable(*args):
+            raise AssertionError("work started before the budget checks")
+
+        monkeypatch.setattr(kernel, "count_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
         with pytest.raises(CapacityError) as exc:
             count_series(queen, square, 3, 1, 25, budget=10**5)
-        assert "n" in exc.value.context
+        assert exc.value.context["n"] == 7
+        assert str(exc.value) == (
+            "search envelope 117649 exceeds budget 100000 at n=7")
+
+    def test_non_nesting_board_matches_square(self, queen, square):
+        # A translate of the square: the same rows, one run per size.
+        table = count_series(queen, board_from_text(OFF_ORIGIN), 2, 1, 6)
+        assert [table.unlabelled(n) for n in table.ns()] == [0, 0, 8, 44, 140, 340]
+        assert table.rows == count_series(queen, square, 2, 1, 6).rows
+
+    @pytest.mark.parametrize("board_text, n_from, runs, cells", [
+        ("square", 1, 1, 64),
+        ("square", 4, 1, 64),
+        # Sizes 0 and 1 have no cells, and one run holds all.
+        ("poly:-1,0,0;0,-1,0;1,1,1", 0, 1, 28),
+        # Size 0 has no cells, so size 1 continues its run.
+        (OFF_ORIGIN, 0, 8, sum(n * n for n in range(1, 9))),
+        (OFF_ORIGIN, 4, 5, sum(n * n for n in range(4, 9))),
+    ])
+    def test_one_kernel_call_per_nested_run(self, queen, board_text, n_from,
+                                            runs, cells, monkeypatch):
+        # perfbench/trace_job.py wraps the kernel by name and reads
+        # len(keys[0]): one call per run of nested sizes, on its cells.
+        calls = []
+        count = kernel.count_nonattacking_subsets
+
+        def recorded(keys, q):
+            calls.append(len(keys[0]))
+            return count(keys, q)
+
+        monkeypatch.setattr(kernel, "count_nonattacking_subsets", recorded)
+        count_series(queen, board_from_text(board_text), 2, n_from, 8)
+        assert (len(calls), sum(calls)) == (runs, cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ms=random_pieces(), inequalities=RATIONAL_BOARDS,
+           q=st.integers(0, 3), n_from=st.integers(0, 4),
+           length=st.integers(0, 3))
+    def test_rows_match_counts_per_size(self, ms, inequalities, q, n_from,
+                                        length):
+        # Many of these boards miss the origin, so runs restart.
+        board = BoardPolygon(inequalities)
+        n_to = n_from + length
+        table = count_series(ms, board, q, n_from, n_to)
+        assert table.rows == {n: count_nonattacking(ms, board, q, n)
+                              for n in range(n_from, n_to + 1)}
 
     def test_csv_format(self, rook, square):
         table = count_series(rook, square, 2, 2, 3)

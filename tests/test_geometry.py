@@ -13,6 +13,7 @@ from riderpoly.geometry import (
     bounding_box_cells,
     board_from_text,
     closed_lattice_points,
+    interior_lattice_count,
     interior_lattice_points,
     piece_from_text,
     reachable_by_two_moves,
@@ -161,10 +162,11 @@ class TestRationalBoards:
                 if all(a * x + b * y <= t * beta
                        for a, b, beta in inequalities)]
             if t:
-                assert interior_lattice_points(board, t) == [
-                    (x, y) for x, y in box
-                    if all(a * x + b * y < t * beta
-                           for a, b, beta in inequalities)]
+                interior = [(x, y) for x, y in box
+                            if all(a * x + b * y < t * beta
+                                   for a, b, beta in inequalities)]
+                assert interior_lattice_points(board, t) == interior
+                assert interior_lattice_count(board, t) == len(interior)
 
 
 # Number-like fields, kept short: an exponent such as 1e9999999 is parsed

@@ -21,12 +21,15 @@ TRIANGLE = "poly:-1,0,0;0,-1,0;1,1,1"
 BOARDS = ["square", TRIANGLE]
 
 
-def naive_subsets(ms, board, q, n):
-    """Unoptimized oracle: test every q-subset of cells, no pruning."""
-    points = interior_lattice_points(board, n + 1)
-    for combo in combinations(points, q):
+def naive_cell_subsets(ms, cells, q):
+    """Unoptimized oracle: test every q-subset of the cells, no pruning."""
+    for combo in combinations(cells, q):
         if all(not attacks(a, b, ms) for a, b in combinations(combo, 2)):
             yield combo
+
+
+def naive_subsets(ms, board, q, n):
+    return naive_cell_subsets(ms, interior_lattice_points(board, n + 1), q)
 
 
 def naive_count(ms, board, q, n):
@@ -47,7 +50,7 @@ def check_kernel_against_oracle(name, board_text):
     board = board_from_text(board_text)
     for q, n in [(2, 9), (3, 7), (4, 5), (5, 4)]:
         keys = attack_keys(ms, interior_lattice_points(board, n + 1))
-        assert (kernel.count_nonattacking_subsets(keys, q)
+        assert (kernel.count_nonattacking_subsets(keys, q)[-1]
                 == naive_count(ms, board, q, n)), (q, n)
 
 
@@ -68,12 +71,14 @@ def test_kernel_matches_unpruned_oracle_on_triangle(name):
 @given(ms=random_pieces(), q=st.integers(2, 4), data=st.data())
 def test_kernel_matches_unpruned_oracle_on_random_pieces(board_text, ms, q,
                                                         data):
+    """Every running count, one per prefix of the cells, against the oracle."""
     board = board_from_text(board_text)
     # The oracle tests every q-subset, so n stays small as q grows.
     n = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[q]), label="n")
-    keys = attack_keys(ms, interior_lattice_points(board, n + 1))
-    assert (kernel.count_nonattacking_subsets(keys, q)
-            == naive_count(ms, board, q, n))
+    cells = interior_lattice_points(board, n + 1)
+    assert (kernel.count_nonattacking_subsets(attack_keys(ms, cells), q)
+            == [sum(1 for _ in naive_cell_subsets(ms, cells[:k], q))
+                for k in range(len(cells) + 1)])
 
 
 @pytest.mark.parametrize("board_text", BOARDS)
@@ -87,14 +92,14 @@ def test_iteration_matches_oracle_in_lexicographic_order(name, board_text):
 
 
 def test_trivial_cases():
-    assert kernel.count_nonattacking_subsets([], 0) == 1
-    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 0) == 1
-    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 1) == 3
-    assert kernel.count_nonattacking_subsets([], 2) == 0
-    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 2) == 3
-    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 4) == 0
+    assert kernel.count_nonattacking_subsets([], 0) == [1]
+    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 0) == [1, 1, 1, 1]
+    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 1) == [0, 1, 2, 3]
+    assert kernel.count_nonattacking_subsets([], 2) == [0]
+    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 2) == [0, 0, 1, 3]
+    assert kernel.count_nonattacking_subsets([[1, 2, 3]], 4) == [0, 0, 0, 0]
     # three cells on one line: no nonattacking pair
-    assert kernel.count_nonattacking_subsets([[7, 7, 7]], 2) == 0
+    assert kernel.count_nonattacking_subsets([[7, 7, 7]], 2) == [0, 0, 0, 0]
 
 
 def test_kernel_name_is_reported():
