@@ -116,21 +116,20 @@ def cmd_fit(args) -> int:
 
 
 def cmd_types(args) -> int:
-    c_from, c_to = (_parse_range("--census", args.census)
-                    if args.census else (1, 0))
-    if args.census and c_from > c_to:
-        raise RiderPolyError(
-            f"--census must be n or a:b with a <= b, got {args.census!r}")
+    if args.census:
+        c_from, c_to = _parse_range("--census", args.census)
+        if c_from > c_to:
+            raise RiderPolyError(
+                f"--census must be n or a:b with a <= b, got {args.census!r}")
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
     n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
-    census = []
-    for n in range(c_from, c_to + 1):
-        lab, unlab = census_types(ms, board, args.q, n, budget=args.budget)
-        census.append({"n": n, "labelled_types": str(lab),
-                       "unlabelled_types": str(unlab)})
+    found = (census_types(ms, board, args.q, c_from, c_to, budget=args.budget)
+             if args.census else {})
+    census = [{"n": n, "labelled_types": str(lab), "unlabelled_types": str(unlab)}
+              for n, (lab, unlab) in found.items()]
     if args.format != "json":
         # Printed before the fit, which can fail; the census does not need it.
         print(f"{ms.label} on {board.as_text()}, q={args.q}")
@@ -213,20 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact nonattacking-rider counting on dilated boards")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, board=True):
+    def common(p, formats=("pretty", "json")):
         p.add_argument("--piece", required=True,
                        help="preset name or c1,d1;c2,d2;...")
-        if board:
-            p.add_argument("--board", default="square",
-                           help="square | rect:a,b | poly:a,b,beta;...")
+        p.add_argument("--board", default="square",
+                       help="square | rect:a,b | poly:a,b,beta;...")
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--format", choices=("pretty", "json", "csv"),
-                       default="pretty")
+        p.add_argument("--format", choices=formats, default="pretty")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="elementary attack-test budget")
 
     p_count = sub.add_parser("count", help="exact count table")
-    common(p_count)
+    common(p_count, formats=("pretty", "json", "csv"))
     p_count.add_argument("--n", required=True, help="n or a:b")
     p_count.add_argument("--method", choices=("brute", "reconstruction"),
                          default="brute")

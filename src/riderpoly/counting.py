@@ -1,14 +1,17 @@
 """Brute-force counting of nonattacking placements and configuration types.
 
 This module is the ground-truth oracle for everything symbolic: it counts
-and lists placements by explicit enumeration of lattice cells through the
-bitset core in ``kernel``, and never returns a partial answer (resource
-caps raise ``CapacityError`` instead).
+placements and censuses their types by explicit enumeration of lattice
+cells through the bitset core in ``kernel``.  Both take a range of board
+sizes, check every size against the budget before any cell is listed,
+and enumerate each run of nested sizes once.  Nothing returns a partial
+answer (resource caps raise ``CapacityError`` instead).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from itertools import combinations, permutations
 from math import factorial
 
@@ -58,23 +61,29 @@ def check_range(n_from: int, n_to: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def _check_budget(board: BoardPolygon, q: int, n: int, budget: int) -> None:
-    """Refuse size n if its cell walk or its search envelope exceeds the
-    budget, before any cell is listed.  The walk is checked first."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    check_board_walk(board, n, budget)
-    envelope = interior_lattice_count(board, n + 1) ** min(q, 3)
-    if envelope > budget:
-        raise CapacityError(
-            f"search envelope {envelope} exceeds budget {budget} at n={n}",
-            n=n, envelope=envelope, budget=budget)
+def _gated_sizes(board: BoardPolygon, q: int, n_from: int, n_to: int,
+                 budget: int) -> range:
+    """The sizes n_from..n_to, once the range and q are valid and every
+    size's cell walk and search envelope fit the budget.
 
-
-def _budgeted_points(board: BoardPolygon, q: int, n: int, budget: int) -> list:
-    """The cells at size n, once the walk and the search fit the budget."""
-    _check_budget(board, q, n, budget)
-    return interior_lattice_points(board, n + 1)
+    Nothing is listed before every check passes, so a refusal names the
+    first n over budget (its walk checked before its envelope).  q = 0
+    lists no cell, so it is not walked.
+    """
+    check_range(n_from, n_to)
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    sizes = range(n_from, n_to + 1)
+    if q == 0:
+        return sizes
+    for n in sizes:
+        check_board_walk(board, n, budget)
+        envelope = interior_lattice_count(board, n + 1) ** min(q, 3)
+        if envelope > budget:
+            raise CapacityError(
+                f"search envelope {envelope} exceeds budget {budget} at n={n}",
+                n=n, envelope=envelope, budget=budget)
+    return sizes
 
 
 def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
@@ -151,21 +160,16 @@ def count_series(ms: MoveSet, board: BoardPolygon, q: int,
                  budget: int = DEFAULT_BUDGET) -> CountTable:
     """One ``count_nonattacking`` row per n in [n_from, n_to].
 
-    Every size's board walk and search envelope are checked before any
-    cell is listed, so a capacity error names the first n over budget with
-    nothing counted.  Then one kernel call per run of nested sizes (see
-    ``_nested_runs``; the board's dilates nest when it contains the
-    origin) counts each placement once, at the size where its last cell
-    appears: row n is the running count at the last cell of size n.
+    Every size is checked first (``_gated_sizes``), so a capacity error
+    names the first n over budget with nothing counted.  Then one kernel
+    call per run of nested sizes (see ``_nested_runs``; the board's
+    dilates nest when it contains the origin) counts each placement once,
+    at the size where its last cell appears: row n is the running count
+    at the last cell of size n.
     """
-    check_range(n_from, n_to)
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    sizes = range(n_from, n_to + 1)
+    sizes = _gated_sizes(board, q, n_from, n_to, budget)
     if q == 0:
         return CountTable(ms.label, board, q, dict.fromkeys(sizes, (1, 1)))
-    for n in sizes:
-        _check_budget(board, q, n, budget)
     fq = factorial(q)
     rows = {}
     for cells, ends in _nested_runs(board, sizes):
@@ -194,24 +198,13 @@ def _nested_runs(board: BoardPolygon, sizes):
     yield cells, ends
 
 
-def iter_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
-                      budget: int = DEFAULT_BUDGET):
-    """Yield every nonattacking q-subset of cells, as sorted position tuples.
-
-    Subsets come in lexicographic order of their cell indices.
-    """
-    points = _budgeted_points(board, q, n, budget)
-    for combo in kernel.iter_nonattacking_subsets(attack_keys(ms, points), q):
-        yield tuple(points[i] for i in combo)
-
-
 class ConfigType(Record, frozen=True):
     """Combinatorial type of a labelled nonattacking configuration.
 
     ``left[i][r]`` is a bitmask over piece indices j with piece j strictly
     on the left side of the r-th move line through piece i.  A frozen
-    value; the type census builds one per distinct comparison signature
-    of a placement, and one per relabelling of those.
+    value, read off a placement by ``labelled_type_of``; the type census
+    compares the comparison signatures that determine it instead.
     """
 
     __slots__ = ("left",)
@@ -227,23 +220,6 @@ class ConfigType(Record, frozen=True):
         """The left-side lists as explicit index sets."""
         return [[{j for j in range(self.q) if mask >> j & 1} for mask in row]
                 for row in self.left]
-
-    def relabelled(self, perm) -> "ConfigType":
-        """Apply a piece relabelling i -> perm[i]."""
-        q = self.q
-        rows = [None] * q
-        for i, row in enumerate(self.left):
-            rows[perm[i]] = tuple(
-                _remap_mask(mask, perm, q) for mask in row)
-        return ConfigType(tuple(rows))
-
-
-def _remap_mask(mask: int, perm, q: int) -> int:
-    out = 0
-    for j in range(q):
-        if mask >> j & 1:
-            out |= 1 << perm[j]
-    return out
 
 
 def _signature(piece_keys) -> tuple:
@@ -263,10 +239,16 @@ def _signature(piece_keys) -> tuple:
     return tuple(sig)
 
 
-def _type_of_signature(sig: tuple, q: int, nmoves: int) -> ConfigType:
-    """The left-side list family that a comparison signature determines."""
+def labelled_type_of(cfg: Configuration, ms: MoveSet) -> ConfigType:
+    """The left-side list family of a nonattacking labelled configuration,
+    as its comparison signature determines it.
+
+    Rejects attacking input: equal configurations lie in no open region of
+    the move arrangement.
+    """
+    q, nmoves = len(cfg.positions), len(ms)
+    lower = iter(_signature(list(zip(*attack_keys(ms, cfg.positions)))))
     rows = [[0] * nmoves for _ in range(q)]
-    lower = iter(sig)
     for a, b in combinations(range(q), 2):
         for r in range(nmoves):
             # key_a < key_b puts b on the left of the line through a.
@@ -277,41 +259,41 @@ def _type_of_signature(sig: tuple, q: int, nmoves: int) -> ConfigType:
     return ConfigType(tuple(map(tuple, rows)))
 
 
-def labelled_type_of(cfg: Configuration, ms: MoveSet) -> ConfigType:
-    """The left-side list family of a nonattacking labelled configuration.
+def census_types(ms: MoveSet, board: BoardPolygon, q: int,
+                 n_from: int, n_to: int,
+                 budget: int = DEFAULT_BUDGET) -> dict[int, tuple[int, int]]:
+    """(labelled_types, unlabelled_types) realized at each board size n in
+    [n_from, n_to].
 
-    Rejects attacking input: equal configurations lie in no open region of
-    the move arrangement.
+    The gate and the runs are ``count_series``': every size is checked
+    before any cell is listed, q = 0 realizes the empty placement's one
+    type, and each run of nested sizes is enumerated once.  A placement
+    realizes its types from the size where its last cell appears.  Its
+    labelled types are the comparison signatures of its q! orderings, and
+    the least of them names its unlabelled type.  Both counts are exact
+    censuses of those signatures.
     """
-    pts = cfg.positions
-    sig = _signature(list(zip(*attack_keys(ms, pts))))
-    return _type_of_signature(sig, len(pts), len(ms))
-
-
-def census_types(ms: MoveSet, board: BoardPolygon, q: int, n: int,
-                 budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(labelled_types, unlabelled_types) realized at board size n.
-
-    Enumerates every nonattacking placement, collects the distinct
-    combinatorial types of its labelled orderings, and groups them into
-    relabelling orbits.  Both counts are exact censuses: each orbit is
-    expanded into its individual labelled types.  A placement's type
-    follows from its comparison signature, so the type, its orbit and its
-    canonical member are built once per distinct signature.
-    """
-    points = _budgeted_points(board, q, n, budget)
-    keys = attack_keys(ms, points)
-    cell_keys = list(zip(*keys))
-    perms = list(permutations(range(q)))
-    signatures: set[tuple] = set()
-    canon_of: dict[tuple, tuple] = {}   # labelled type -> orbit minimum
-    for combo in kernel.iter_nonattacking_subsets(keys, q):
-        sig = _signature([cell_keys[i] for i in combo])
-        if sig in signatures:
-            continue
-        signatures.add(sig)
-        ctype = _type_of_signature(sig, q, len(ms))
-        if ctype.left not in canon_of:
-            orbit = {ctype.relabelled(perm).left for perm in perms}
-            canon_of.update(dict.fromkeys(orbit, min(orbit)))
-    return len(canon_of), len(set(canon_of.values()))
+    sizes = _gated_sizes(board, q, n_from, n_to, budget)
+    if q == 0:
+        return dict.fromkeys(sizes, (1, 1))
+    census = {}
+    for cells, ends in _nested_runs(board, sizes):
+        keys = attack_keys(ms, cells)
+        cell_keys = list(zip(*keys))
+        stops = [end for _, end in ends]
+        # Per size, the piece keys of one placement per signature found.
+        found = [{} for _ in ends]
+        for combo in kernel.iter_nonattacking_subsets(keys, q):
+            piece_keys = [cell_keys[i] for i in combo]
+            found[bisect_right(stops, combo[-1])].setdefault(
+                _signature(piece_keys), piece_keys)
+        labelled, unlabelled = set(), set()
+        for (n, _), placements in zip(ends, found):
+            for sig, piece_keys in placements.items():
+                if sig not in labelled:
+                    orbit = {_signature(order)
+                             for order in permutations(piece_keys)}
+                    labelled |= orbit
+                    unlabelled.add(min(orbit))
+            census[n] = (len(labelled), len(unlabelled))
+    return census

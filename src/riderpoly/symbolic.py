@@ -38,8 +38,8 @@ def board_count_qp(board: BoardPolygon,
                    budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
     """The cell count N as an exact quasipolynomial of n (degree 2).
 
-    Fitted from counted values with period equal to the board denominator
-    and validated on one extra row per residue.  Every walk is checked
+    Fitted from counted values with period equal to the board denominator:
+    five rows per residue, so two held-out rows each.  Every walk is checked
     against the budget before the first one starts.
     """
     period = board.denominator

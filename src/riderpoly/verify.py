@@ -144,7 +144,8 @@ def check_two_move_types(suite: PaperSuite) -> list[CheckResult]:
             results.append(CheckResult(
                 f"4. {name} q={q}: types from fit = {factorial(q)}",
                 types == factorial(q), detail=f"got {types}"))
-            lab, unlab = census_types(suite.piece(name), suite.board, q, 10)
+            lab, unlab = census_types(suite.piece(name), suite.board, q,
+                                      10, 10)[10]
             results.append(CheckResult(
                 f"4. {name} q={q}: census at n=10 = {factorial(q)}",
                 unlab == factorial(q) and lab == factorial(q) * unlab,

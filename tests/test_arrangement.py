@@ -584,7 +584,7 @@ class TestTypeCount:
         from riderpoly.counting import census_types
         ms = piece_from_text("-1,2;-2,1;1,1")
         sl = intersection_semilattice(ms, 3)
-        labelled, unlabelled = census_types(ms, square, 3, 4)
+        labelled, unlabelled = census_types(ms, square, 3, 4, 4)[4]
         assert unlabelled == 17
         assert self.signed_sum(sl) == labelled == factorial(3) * unlabelled
         assert reconstruct_count(sl, square, -1) == labelled

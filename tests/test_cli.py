@@ -354,6 +354,50 @@ class TestTypes:
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    @pytest.mark.parametrize("census", ["-1:1", "-3:-1"])
+    def test_negative_census_is_refused_like_count(self, capsys, fmt, census):
+        # The message of count --n=-2:1, from the census' budget gate.
+        code = main(["types", "--piece", "queen", "--q", "2", "--n", "1:10",
+                     f"--census={census}", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        if fmt == "json":
+            data = json.loads(captured.out)
+            validate(data, "error.schema.json")
+            assert data["error"] == {"type": "ValueError",
+                                     "message": "n must be nonnegative"}
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: n must be nonnegative\n"
+
+    def test_no_piece_census(self, capsys):
+        # The empty placement realizes one type at every size.
+        code, out = run_cli(capsys, "types", "--piece", "queen", "--q", "0",
+                            "--n", "1:6", "--census", "1:2", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "types_report.schema.json")
+        assert data["census"] == [
+            {"n": n, "labelled_types": "1", "unlabelled_types": "1"}
+            for n in (1, 2)]
+
+
+# Only count writes CSV; the other reports are refused by argparse.
+@pytest.mark.parametrize("argv", [
+    "fit --piece queen --q 2 --n 1:10",
+    "types --piece queen --q 2 --n 1:10",
+    "bounds --piece queen --q 2",
+], ids=["fit", "types", "bounds"])
+def test_csv_is_offered_by_count_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
+
 
 class TestMobius:
     def test_queen_report(self, capsys):

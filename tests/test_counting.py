@@ -1,11 +1,11 @@
 import json
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from conftest import RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import counting, kernel
 from riderpoly.counting import (
@@ -15,13 +15,13 @@ from riderpoly.counting import (
     census_types,
     count_nonattacking,
     count_series,
-    iter_nonattacking,
     labelled_type_of,
 )
 from riderpoly.errors import AttackingConfigurationError, CapacityError
 from riderpoly.geometry import (
     BoardPolygon,
     Configuration,
+    attacks,
     board_from_text,
     interior_lattice_points,
 )
@@ -174,11 +174,16 @@ class TestLabelledTypes:
             labelled_type_of(Configuration(((2, 2), (2, 2))), queen)
 
     def test_relabelling_changes_type(self, queen):
-        # each relabelling of a nonattacking configuration is a distinct type
-        ct = labelled_type_of(Configuration(((1, 1), (2, 3), (4, 2))), queen)
-        seen = {ct.relabelled(p).left
-                for p in __import__("itertools").permutations(range(3))}
+        # each ordering of a nonattacking configuration is a distinct type
+        positions = ((1, 1), (2, 3), (4, 2))
+        seen = {labelled_type_of(Configuration(tuple(positions[i] for i in p)),
+                                 queen)
+                for p in permutations(range(3))}
         assert len(seen) == factorial(3)
+
+
+def census_at(ms, board, q, n):
+    return census_types(ms, board, q, n, n)[n]
 
 
 class TestCensus:
@@ -188,24 +193,73 @@ class TestCensus:
         from riderpoly.geometry import piece_from_text
         custom = piece_from_text("1,0;0,1;1,2;1,-2")
         for ms in (queen, nightrider, bishop, rook, semiqueen, custom):
-            lab, unlab = census_types(ms, square, 2, 8)
+            lab, unlab = census_at(ms, square, 2, 8)
             assert unlab == len(ms)
             assert lab == 2 * unlab
 
     def test_rook_three_pieces(self, rook, square):
-        assert census_types(rook, square, 3, 10) == (36, 6)
+        assert census_at(rook, square, 3, 10) == (36, 6)
 
     def test_queen_three_pieces_stabilizes(self, queen, square):
-        assert census_types(queen, square, 3, 8) == (216, 36)
+        assert census_at(queen, square, 3, 8) == (216, 36)
 
     def test_monotone_in_n(self, bishop, square):
-        values = [census_types(bishop, square, 2, n)[1] for n in range(1, 7)]
+        census = census_types(bishop, square, 2, 1, 6)
+        values = [census[n][1] for n in range(1, 7)]
         assert values == sorted(values)
 
     def test_iterator_yields_sorted_nonattacking(self, queen, square):
-        combos = list(iter_nonattacking(queen, square, 2, 3))
+        cells = interior_lattice_points(square, 4)
+        combos = list(kernel.iter_nonattacking_subsets(
+            attack_keys(queen, cells), 2))
         assert len(combos) == 8
         assert all(a < b for a, b in combos)
+
+    def test_empty_placement(self, rook, square, monkeypatch):
+        # q = 0: the empty placement's one type, with no cell listed.
+        def unreachable(*args):
+            raise AssertionError("cells listed for q = 0")
+
+        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
+        assert census_types(rook, square, 0, 0, 3) == dict.fromkeys(range(4),
+                                                                    (1, 1))
+
+    def test_negative_size_refused(self, queen, square):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            census_types(queen, square, 2, -1, 1)
+
+    def test_capacity_error_carries_n(self, queen, square, monkeypatch):
+        # The whole range is checked before any cell is listed or
+        # iterated, and the refusal names the first size over budget.
+        def unreachable(*args):
+            raise AssertionError("work started before the budget checks")
+
+        monkeypatch.setattr(kernel, "iter_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
+        with pytest.raises(CapacityError) as exc:
+            census_types(queen, square, 3, 4, 25, budget=10**5)
+        assert exc.value.context["n"] == 7
+        assert str(exc.value) == (
+            "search envelope 117649 exceeds budget 100000 at n=7")
+
+    @pytest.mark.parametrize("board_text, runs", [("square", 1),
+                                                  (OFF_ORIGIN, 6)])
+    def test_one_kernel_iteration_per_nested_run(self, queen, board_text,
+                                                 runs, monkeypatch):
+        # The square is one run; its translate, whose dilates never nest,
+        # is one run per size, with the same census.
+        calls = []
+        iterate = kernel.iter_nonattacking_subsets
+
+        def recorded(keys, q):
+            calls.append(q)
+            return iterate(keys, q)
+
+        monkeypatch.setattr(kernel, "iter_nonattacking_subsets", recorded)
+        census = census_types(queen, board_from_text(board_text), 2, 1, 6)
+        assert len(calls) == runs
+        assert [census[n] for n in range(1, 7)] == [
+            (0, 0), (0, 0), (8, 4), (8, 4), (8, 4), (8, 4)]
 
 
 def reference_type(positions, ms):
@@ -222,22 +276,35 @@ def reference_type(positions, ms):
 
 
 def reference_census(ms, board, q, n):
-    """The census that types every placement: one ``labelled_type_of`` per
-    placement, each new orbit expanded into its labelled types."""
-    canon_cache = {}
-    unlabelled, labelled = set(), set()
-    perms = list(permutations(range(q)))
-    for positions in iter_nonattacking(ms, board, q, n):
-        ctype = labelled_type_of(Configuration(positions), ms)
-        canon = canon_cache.get(ctype.left)
-        if canon is None:
-            orbit = {ctype.relabelled(perm).left for perm in perms}
-            canon = min(orbit)
-            for member in orbit:
-                canon_cache[member] = canon
-            labelled.update(orbit)
-        unlabelled.add(canon)
+    """The census that types every ordering of the placements at size n.
+
+    Placements are listed by ``itertools.combinations`` and
+    ``geometry.attacks``; each ordering of a placement with a new type is
+    typed by ``labelled_type_of``, and an unlabelled type is the set of its
+    orderings' types.
+    """
+    cells = interior_lattice_points(board, n + 1)
+    apart = {pair for pair in combinations(cells, 2) if not attacks(*pair, ms)}
+    labelled, unlabelled = set(), set()
+    for combo in combinations(cells, q):
+        if not all(pair in apart for pair in combinations(combo, 2)):
+            continue
+        if labelled_type_of(Configuration(combo), ms) in labelled:
+            continue
+        orbit = frozenset(labelled_type_of(Configuration(order), ms)
+                          for order in permutations(combo))
+        labelled |= orbit
+        unlabelled.add(orbit)
     return len(labelled), len(unlabelled)
+
+
+# The most q-subsets of cells the reference lists at one size.
+REFERENCE_SUBSETS = 20_000
+
+
+def reference_sized(board, q, n) -> bool:
+    return (comb(len(interior_lattice_points(board, n + 1)), q)
+            <= REFERENCE_SUBSETS)
 
 
 @pytest.mark.parametrize("board_text", RANDOM_BOARDS)
@@ -246,11 +313,27 @@ def reference_census(ms, board, q, n):
 def test_census_matches_per_placement_reference(board_text, ms, q, data):
     board = board_from_text(board_text)
     n = data.draw(st.integers(1, 4 if q == 4 else 6), label="n")
-    labelled, unlabelled = census_types(ms, board, q, n)
+    labelled, unlabelled = census_at(ms, board, q, n)
     assert (labelled, unlabelled) == reference_census(ms, board, q, n)
     # Every region orders the pieces totally along each move, so no
     # relabelling but the identity fixes a type.
     assert labelled == factorial(q) * unlabelled
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=random_pieces(), inequalities=RATIONAL_BOARDS, q=st.integers(1, 3),
+       n_from=st.integers(2, 4), length=st.integers(0, 2))
+def test_range_census_matches_per_size_reference(ms, inequalities, q, n_from,
+                                                 length):
+    # Every range starts past n = 1, and many of these boards miss the
+    # origin, so runs restart.
+    board = BoardPolygon(inequalities)
+    assume(reference_sized(board, q, n_from))
+    n_to = n_from
+    while n_to < n_from + length and reference_sized(board, q, n_to + 1):
+        n_to += 1
+    assert census_types(ms, board, q, n_from, n_to) == {
+        n: reference_census(ms, board, q, n) for n in range(n_from, n_to + 1)}
 
 
 @pytest.mark.parametrize("board_text", RANDOM_BOARDS)

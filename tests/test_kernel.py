@@ -7,7 +7,7 @@ from conftest import RANDOM_BOARDS, random_pieces
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import kernel
-from riderpoly.counting import attack_keys, count_nonattacking, iter_nonattacking
+from riderpoly.counting import attack_keys, count_nonattacking
 from riderpoly.geometry import (
     attacks,
     board_from_text,
@@ -85,10 +85,12 @@ def test_kernel_matches_unpruned_oracle_on_random_pieces(board_text, ms, q,
 @pytest.mark.parametrize("name", ALL_PIECES)
 def test_iteration_matches_oracle_in_lexicographic_order(name, board_text):
     ms = piece_from_text(name)
-    board = board_from_text(board_text)
+    cells = interior_lattice_points(board_from_text(board_text), 6)
+    keys = attack_keys(ms, cells)
     for q in (1, 2, 3):
-        assert (list(iter_nonattacking(ms, board, q, 5))
-                == list(naive_subsets(ms, board, q, 5))), q
+        assert ([tuple(cells[i] for i in combo)
+                 for combo in kernel.iter_nonattacking_subsets(keys, q)]
+                == list(naive_cell_subsets(ms, cells, q))), q
 
 
 def test_trivial_cases():
