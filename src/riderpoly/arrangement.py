@@ -14,17 +14,18 @@ flats (counted in ``flatcount``) reconstructs the nonattacking count,
 independently of the brute-force enumerator.  A flat's count is defined
 at every integer n: at negative n it is the signed count in a closed
 dilate (Ehrhart-Macdonald reciprocity), and at n = -1 the sum counts the
-configuration types.  ``flatcount`` is imported inside the three
-functions that use it, so commands that count no flat (``bounds``,
-brute-force ``count``, ``fit``, ``types``) never compile it at start-up.
+configuration types.  ``flatcount`` and the enumerator's
+``check_board_walk`` are imported inside the functions that use them, so
+the commands that build a semilattice but count no flat (``bounds``,
+``mobius``) compile neither ``flatcount`` nor ``counting``; the
+reconstruction route compiles both with ``symbolic``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .counting import DEFAULT_BUDGET, check_board_walk
-from .errors import CapacityError, Record
+from .errors import DEFAULT_BUDGET, CapacityError, Record
 from .geometry import BoardPolygon, MoveSet
 from .linalg import insert_row
 
@@ -353,6 +354,7 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     quasipolynomial's value there (see ``alpha``): at n = -1 it is
     sum mu(U) * (-1)^codim(U), q! times the number of configuration types.
     """
+    from .counting import check_board_walk
     from .flatcount import geometry_at
     check_board_walk(board, n, budget)
     npts = len(geometry_at(sl.ms, board, n).points)

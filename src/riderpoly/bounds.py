@@ -34,13 +34,15 @@ from .arrangement import (
     hyperplane_row,
     intersection_semilattice,
 )
-from .errors import CapacityError, MoveSetError
+from .errors import (
+    DEFAULT_MINOR_BUDGET,
+    DEFAULT_SYSTEM_BUDGET,
+    CapacityError,
+    MoveSetError,
+)
 from .geometry import BoardPolygon, MoveSet
 # scan_vertices stays importable here: perfbench/trace_job.py wraps it.
 from .linalg import _bases, _solve, scan_vertices  # noqa: F401
-
-DEFAULT_SYSTEM_BUDGET = 10**7
-DEFAULT_MINOR_BUDGET = 10**6
 
 
 def moves_matrix(ms: MoveSet) -> tuple[tuple[int, int], ...]:

@@ -13,10 +13,15 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 from . import kernel
-from .errors import AttackingConfigurationError, CapacityError, Record
+from .errors import (
+    DEFAULT_BUDGET,
+    AttackingConfigurationError,
+    CapacityError,
+    Record,
+)
 from .geometry import (
     BoardPolygon,
     Configuration,
@@ -25,8 +30,6 @@ from .geometry import (
     interior_lattice_count,
     interior_lattice_points,
 )
-
-DEFAULT_BUDGET = 10**10
 
 METHOD_BRUTE_FORCE = "brute_force"
 METHOD_RECONSTRUCTION = "reconstruction"
@@ -62,10 +65,13 @@ def check_range(n_from: int, n_to: int) -> None:
 
 
 def _gated_sizes(board: BoardPolygon, q: int, n_from: int, n_to: int,
-                 budget: int) -> range:
+                 budget: int, census: bool = False) -> range:
     """The sizes n_from..n_to, once the range and q are valid and every
     size's cell walk and search envelope fit the budget.
 
+    The envelope N^min(q, 3), for N cells, bounds the counting kernel,
+    whose last two levels are popcounts.  A census visits every placement,
+    so with ``census`` each size's C(N, q) must fit the budget too.
     Nothing is listed before every check passes, so a refusal names the
     first n over budget (its walk checked before its envelope).  q = 0
     lists no cell, so it is not walked.
@@ -78,11 +84,17 @@ def _gated_sizes(board: BoardPolygon, q: int, n_from: int, n_to: int,
         return sizes
     for n in sizes:
         check_board_walk(board, n, budget)
-        envelope = interior_lattice_count(board, n + 1) ** min(q, 3)
+        cells = interior_lattice_count(board, n + 1)
+        envelope = cells ** min(q, 3)
         if envelope > budget:
             raise CapacityError(
                 f"search envelope {envelope} exceeds budget {budget} at n={n}",
                 n=n, envelope=envelope, budget=budget)
+        placements = comb(cells, q) if census else 0
+        if placements > budget:
+            raise CapacityError(
+                f"census of {placements} placements exceeds budget {budget} "
+                f"at n={n}", n=n, placements=placements, budget=budget)
     return sizes
 
 
@@ -265,15 +277,16 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int,
     """(labelled_types, unlabelled_types) realized at each board size n in
     [n_from, n_to].
 
-    The gate and the runs are ``count_series``': every size is checked
-    before any cell is listed, q = 0 realizes the empty placement's one
-    type, and each run of nested sizes is enumerated once.  A placement
-    realizes its types from the size where its last cell appears.  Its
-    labelled types are the comparison signatures of its q! orderings, and
-    the least of them names its unlabelled type.  Both counts are exact
-    censuses of those signatures.
+    The gate and the runs are ``count_series``', the gate with each size's
+    C(N, q) placements checked too: every size is checked before any cell
+    is listed, q = 0 realizes the empty placement's one type, and each run
+    of nested sizes is enumerated once.  A placement realizes its types
+    from the size where its last cell appears.  Its labelled types are the
+    comparison signatures of its q! orderings, and the least of them names
+    its unlabelled type.  Both counts are exact censuses of those
+    signatures.
     """
-    sizes = _gated_sizes(board, q, n_from, n_to, budget)
+    sizes = _gated_sizes(board, q, n_from, n_to, budget, census=True)
     if q == 0:
         return dict.fromkeys(sizes, (1, 1))
     census = {}

@@ -1,6 +1,14 @@
-"""Exception types, and the base of the value types, shared across the package."""
+"""Exception types, budget defaults, and the base of the value types,
+shared across the package."""
 
 from operator import attrgetter
+
+# The budgets a CapacityError enforces, by default.  They live here, beside
+# the error, so the CLI parser can offer them without importing the routes
+# that spend them.
+DEFAULT_BUDGET = 10**10         # cells walked, placements searched, alpha work
+DEFAULT_SYSTEM_BUDGET = 10**7   # grand-matrix systems of bounds.denominator
+DEFAULT_MINOR_BUDGET = 10**6    # minors of bounds.lcmd_direct
 
 
 class Record:

@@ -12,6 +12,9 @@ held-out validation) from a window of sizes around n = 0, the negative
 ones by Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
 cannot touch (the q = 4 table on the square board, for instance).
 Every series is cross-checked against brute force before it is returned.
+Only this route counts flats, so importing it compiles ``flatcount`` too,
+at start-up, before the closure is built, rather than inside the first
+flat count.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from . import flatcount  # noqa: F401
 from . import quasipoly as qp
 from .arrangement import Flat, Semilattice, alpha, is_connected
 from .bounds import flat_polytope_denominator

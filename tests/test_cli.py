@@ -372,6 +372,18 @@ class TestTypes:
             assert captured.out == ""
             assert captured.err == "error: n must be nonnegative\n"
 
+    def test_census_budget_counts_placements(self, capsys):
+        # The table's kernel envelope fits; the n = 12 census's
+        # C(144, 4) = 17178876 placements do not.
+        code, out = run_cli(capsys, "types", "--piece", "queen", "--q", "4",
+                            "--n", "1:11", "--census", "12:12",
+                            "--budget", "3000000", "--format", "json")
+        assert code == 3
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["context"] == {
+            "n": "12", "placements": "17178876", "budget": "3000000"}
+
     def test_no_piece_census(self, capsys):
         # The empty placement realizes one type at every size.
         code, out = run_cli(capsys, "types", "--piece", "queen", "--q", "0",

@@ -242,6 +242,24 @@ class TestCensus:
         assert str(exc.value) == (
             "search envelope 117649 exceeds budget 100000 at n=7")
 
+    def test_census_budget_counts_placements(self, queen, square,
+                                             monkeypatch):
+        # Four queens on the n**2 cells of sizes 8..12 pass the kernel's
+        # envelope (at most 144**3 = 2985984), but the census visits every
+        # placement, and C(100, 4) = 3921225 at n = 10 is the first size
+        # over budget.  Refused before any cell is listed.
+        def unreachable(*args):
+            raise AssertionError("work started before the budget checks")
+
+        monkeypatch.setattr(kernel, "iter_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
+        with pytest.raises(CapacityError) as exc:
+            census_types(queen, square, 4, 8, 12, budget=3 * 10**6)
+        assert exc.value.context == {"n": 10, "placements": comb(100, 4),
+                                     "budget": 3 * 10**6}
+        assert str(exc.value) == (
+            "census of 3921225 placements exceeds budget 3000000 at n=10")
+
     @pytest.mark.parametrize("board_text, runs", [("square", 1),
                                                   (OFF_ORIGIN, 6)])
     def test_one_kernel_iteration_per_nested_run(self, queen, board_text,
