@@ -14,11 +14,11 @@ flats (counted in ``flatcount``) reconstructs the nonattacking count,
 independently of the brute-force enumerator.  A flat's count is defined
 at every integer n: at negative n it is the signed count in a closed
 dilate (Ehrhart-Macdonald reciprocity), and at n = -1 the sum counts the
-configuration types.  ``flatcount`` and the enumerator's
-``check_board_walk`` are imported inside the functions that use them, so
-the commands that build a semilattice but count no flat (``bounds``,
-``mobius``) compile neither ``flatcount`` nor ``counting``; the
-reconstruction route compiles both with ``symbolic``.
+configuration types.  ``flatcount`` and the budget gate
+(``counting.check_size``) are imported inside the functions that use
+them, so the commands that build a semilattice but count no flat
+(``bounds``, ``mobius``) compile neither ``flatcount`` nor ``counting``;
+the reconstruction route compiles both with ``symbolic``.
 """
 
 from __future__ import annotations
@@ -224,16 +224,12 @@ def _compute_mobius(sl: Semilattice) -> None:
         flat.mobius = -total
 
 
-def _local_edges(flat: Flat) -> tuple:
-    local = {piece: a for a, piece in enumerate(flat.involved)}
-    return tuple(sorted((local[i], local[j], r) for i, j, r in flat.edges))
-
-
 def _compute_iso_classes(sl: Semilattice) -> None:
     classes: dict[tuple, list[int]] = {}
     for flat in sl.flats:
         kappa = flat.kappa
-        edges = _local_edges(flat)
+        local = {piece: a for a, piece in enumerate(flat.involved)}
+        edges = tuple(sorted((local[i], local[j], r) for i, j, r in flat.edges))
         best = edges
         aut = 0
         for perm in permutations(range(kappa)):
@@ -245,7 +241,7 @@ def _compute_iso_classes(sl: Semilattice) -> None:
             if relabelled < best:
                 best = relabelled
         flat.iso_key = (kappa, best)
-        flat.aut_order = max(aut, 1)
+        flat.aut_order = aut  # the identity always counts
         classes.setdefault(flat.iso_key, []).append(flat.id)
 
     for cid, (key, members) in enumerate(sorted(classes.items())):
@@ -332,12 +328,14 @@ def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
     Ehrhart-Macdonald reciprocity the same quasipolynomial at n = -m
     (m >= 1) is (-1)^d L(m-1), with d = 2*kappa - codim and L(t) the
     number of such tuples in the *closed* t-fold dilate (L(0) = 1).
-
-    Enumerates over the essential coordinates only: pieces the flat does
-    not involve contribute no factor here.
+    Pieces the flat does not involve contribute no factor here, and for
+    kappa >= 1 the size is gated (``counting.check_size``) first.
     """
+    from .counting import check_size
     from .flatcount import count_flat
-    value = count_flat(sl.ms, flat, board, n, budget)
+    if flat.kappa:
+        check_size(board, n, budget, flat.kappa, "alpha")
+    value = count_flat(sl.ms, flat, board, n)
     if n < 0 and flat.codim % 2:
         value = -value      # (-1)^d with d = 2*kappa - codim
     return value
@@ -353,11 +351,11 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     enumerator's unlabelled count.  A negative n gives the counting
     quasipolynomial's value there (see ``alpha``): at n = -1 it is
     sum mu(U) * (-1)^codim(U), q! times the number of configuration types.
+    Each kappa is gated before any flat is counted; kappa 0 gives N.
     """
-    from .counting import check_board_walk
-    from .flatcount import geometry_at
-    check_board_walk(board, n, budget)
-    npts = len(geometry_at(sl.ms, board, n).points)
+    from .counting import check_size
+    for kappa in sorted({cls.kappa for cls in sl.iso_classes}):
+        npts = check_size(board, n, budget, kappa, "alpha")
     total = 0
     for cls in sl.iso_classes:
         rep = sl.flats[cls.representative]

@@ -3,9 +3,10 @@
 This module is the ground-truth oracle for everything symbolic: it counts
 placements and censuses their types by explicit enumeration of lattice
 cells through the bitset core in ``kernel``.  Both take a range of board
-sizes, check every size against the budget before any cell is listed,
-and enumerate each run of nested sizes once.  Nothing returns a partial
-answer (resource caps raise ``CapacityError`` instead).
+sizes, check every size before any cell is listed, and enumerate each
+run of nested sizes once.  The check is ``check_size``, the one budget
+gate of every route, the Mobius route's flat counts included.  Nothing
+returns a partial answer (resource caps raise ``CapacityError``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .geometry import (
     BoardPolygon,
     Configuration,
     MoveSet,
-    bounding_box_cells,
-    interior_lattice_count,
-    interior_lattice_points,
+    cell_count,
+    cells_at,
+    region_at,
 )
 
 METHOD_BRUTE_FORCE = "brute_force"
@@ -40,22 +41,6 @@ def attack_keys(ms: MoveSet, points) -> list[list[int]]:
     return [[m.d * x - m.c * y for (x, y) in points] for m in ms]
 
 
-def check_board_walk(board: BoardPolygon, n: int, budget: int) -> None:
-    """Refuse the cell walk at size n if its bounding box exceeds the budget.
-
-    The bounding box bounds the cells ``interior_lattice_points`` returns
-    (it walks the box column by column, each row cutting the column's y
-    range), so every caller that walks the board under a budget checks
-    here first.  A negative n walks the closed (-n-1)-fold dilate instead
-    of the interior of the (n+1)-fold one (see ``arrangement.alpha``).
-    """
-    cells = bounding_box_cells(board, n + 1 if n >= 0 else -1 - n)
-    if cells > budget:
-        raise CapacityError(
-            f"board walk of {cells} cells exceeds budget {budget} at n={n}",
-            n=n, cells=cells, budget=budget)
-
-
 def check_range(n_from: int, n_to: int) -> None:
     """Refuse a reversed range of board sizes, and a negative n."""
     if n_from > n_to:
@@ -64,37 +49,57 @@ def check_range(n_from: int, n_to: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def _gated_sizes(board: BoardPolygon, q: int, n_from: int, n_to: int,
-                 budget: int, census: bool = False) -> range:
-    """The sizes n_from..n_to, once the range and q are valid and every
-    size's cell walk and search envelope fit the budget.
+def check_size(board: BoardPolygon, n: int, budget: int, q: int,
+               route: str) -> int:
+    """N, the number of cells at size n, once the work there fits the budget.
 
-    The envelope N^min(q, 3), for N cells, bounds the counting kernel,
-    whose last two levels are popcounts.  A census visits every placement,
-    so with ``census`` each size's C(N, q) must fit the budget too.
-    Nothing is listed before every check passes, so a refusal names the
-    first n over budget (its walk checked before its envelope).  q = 0
-    lists no cell, so it is not walked.
+    Every route calls this gate for each size it will walk before it lists
+    any cell, and it lists none (N comes from column ranges).  It refuses,
+    in this order, the walk over the bounding box (``geometry.region_at``);
+    for q >= 1 pieces the envelope, N^min(q, 3) for the ``"alpha"`` flat
+    counts, and for the kernel (``"count"``, ``"census"``), whose last two
+    levels are popcounts, at least the C(N, k) nonattacking prefixes of
+    k = 1..q-1 cells it may step through; and for ``"census"``, which
+    visits every placement, C(N, q).
+    """
+    (x_lo, x_hi, y_lo, y_hi), _ = region_at(board, n)
+    walk = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
+    if walk > budget:
+        raise CapacityError(
+            f"board walk of {walk} cells exceeds budget {budget} at n={n}",
+            n=n, cells=walk, budget=budget)
+    cells = cell_count(board, n)
+    if q == 0:
+        return cells
+    envelope = cells ** min(q, 3)
+    if route != "alpha":
+        envelope = max(envelope, sum(comb(cells, k) for k in range(1, q)))
+    if envelope > budget:
+        kind = "alpha" if route == "alpha" else "search"
+        raise CapacityError(
+            f"{kind} envelope {envelope} exceeds budget {budget} at n={n}",
+            n=n, envelope=envelope, budget=budget)
+    placements = comb(cells, q) if route == "census" else 0
+    if placements > budget:
+        raise CapacityError(
+            f"census of {placements} placements exceeds budget {budget} "
+            f"at n={n}", n=n, placements=placements, budget=budget)
+    return cells
+
+
+def _gated_sizes(board: BoardPolygon, q: int, n_from: int, n_to: int,
+                 budget: int, route: str) -> range:
+    """The sizes n_from..n_to, once the range and q are valid and every
+    size passes ``check_size``, so a refusal names the first n over
+    budget with nothing listed.  q = 0 lists no cell, so it is not walked.
     """
     check_range(n_from, n_to)
     if q < 0:
         raise ValueError("q must be nonnegative")
     sizes = range(n_from, n_to + 1)
-    if q == 0:
-        return sizes
-    for n in sizes:
-        check_board_walk(board, n, budget)
-        cells = interior_lattice_count(board, n + 1)
-        envelope = cells ** min(q, 3)
-        if envelope > budget:
-            raise CapacityError(
-                f"search envelope {envelope} exceeds budget {budget} at n={n}",
-                n=n, envelope=envelope, budget=budget)
-        placements = comb(cells, q) if census else 0
-        if placements > budget:
-            raise CapacityError(
-                f"census of {placements} placements exceeds budget {budget} "
-                f"at n={n}", n=n, placements=placements, budget=budget)
+    if q:
+        for n in sizes:
+            check_size(board, n, budget, q, route)
     return sizes
 
 
@@ -179,7 +184,7 @@ def count_series(ms: MoveSet, board: BoardPolygon, q: int,
     at the size where its last cell appears: row n is the running count
     at the last cell of size n.
     """
-    sizes = _gated_sizes(board, q, n_from, n_to, budget)
+    sizes = _gated_sizes(board, q, n_from, n_to, budget, "count")
     if q == 0:
         return CountTable(ms.label, board, q, dict.fromkeys(sizes, (1, 1)))
     fq = factorial(q)
@@ -199,7 +204,7 @@ def _nested_runs(board: BoardPolygon, sizes):
     """
     cells, ends, previous = [], [], set()
     for n in sizes:
-        points = interior_lattice_points(board, n + 1)
+        points = cells_at(board, n)
         current = set(points)
         if ends and not previous <= current:
             yield cells, ends
@@ -286,7 +291,7 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int,
     its unlabelled type.  Both counts are exact censuses of those
     signatures.
     """
-    sizes = _gated_sizes(board, q, n_from, n_to, budget, census=True)
+    sizes = _gated_sizes(board, q, n_from, n_to, budget, "census")
     if q == 0:
         return dict.fromkeys(sizes, (1, 1))
     census = {}

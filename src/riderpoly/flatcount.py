@@ -5,40 +5,33 @@ the flat involves, that satisfy its line equations.  Pieces forced to
 coincide collapse into groups; each connected component of the groups'
 slope graph is counted on its own, a tree by a sum-product over line
 buckets and any other component by placing groups one at a time, with
-the last two groups of a cycle counted in closed form.  For n < 0 the
-cells are those of the closed (-n-1)-fold dilate (see
-``arrangement.alpha``).
+the last two groups of a cycle counted in closed form.  The cells at a
+size, the closed dilate's at n < 0, come from ``geometry.cells_at``; the
+work is checked against the budget before a count starts (see
+``arrangement.alpha``), so nothing here refuses.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .counting import attack_keys, check_board_walk
-from .errors import CapacityError
-from .geometry import (
-    BoardPolygon,
-    MoveSet,
-    closed_lattice_points,
-    interior_lattice_points,
-)
+from .counting import attack_keys
+from .geometry import BoardPolygon, MoveSet, cells_at, region_at
 
 
+@lru_cache(maxsize=128)
 class _PointGeometry:
-    """Lattice points of one dilate plus per-move line buckets.
+    """The cells at size n (see ``geometry.region_at``) plus per-move line
+    buckets, built once per piece, board and size.
 
-    The points lie strictly inside the t-fold dilate, or in the closed one
-    when ``closed``; ``bounds`` are its rows as a*x + b*y <= bound.
+    ``bounds`` are the cells' rows as a*x + b*y <= bound.
     """
 
     __slots__ = ("points", "index", "keys", "buckets", "bounds")
 
-    def __init__(self, ms: MoveSet, board: BoardPolygon, t: int, closed: bool):
-        if closed:
-            self.points = closed_lattice_points(board, t)
-        else:
-            self.points = interior_lattice_points(board, t)
-        self.bounds = [(a, b, t * c - (not closed)) for a, b, c in board.rows]
+    def __init__(self, ms: MoveSet, board: BoardPolygon, n: int):
+        self.points = cells_at(board, n)
+        _, self.bounds = region_at(board, n)
         self.index = {p: pid for pid, p in enumerate(self.points)}
         self.keys = attack_keys(ms, self.points)
         self.buckets = []
@@ -49,38 +42,14 @@ class _PointGeometry:
             self.buckets.append(buckets)
 
 
-@lru_cache(maxsize=128)
-def _point_geometry(ms: MoveSet, board: BoardPolygon, t: int,
-                    closed: bool) -> _PointGeometry:
-    return _PointGeometry(ms, board, t, closed)
-
-
-def geometry_at(ms: MoveSet, board: BoardPolygon, n: int) -> _PointGeometry:
-    """The cells at size n: inside the (n+1)-fold dilate, or for n < 0 the
-    closed (-n-1)-fold dilate, whose counts give the quasipolynomials'
-    values at n by Ehrhart-Macdonald reciprocity."""
-    if n >= 0:
-        return _point_geometry(ms, board, n + 1, False)
-    return _point_geometry(ms, board, -1 - n, True)
-
-
-def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int,
-               budget: int) -> int:
-    """Unsigned count of the flat's cell tuples at size n (see ``geometry_at``)."""
-    kappa = flat.kappa
-    if kappa == 0:
+def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int) -> int:
+    """Unsigned count of the flat's cell tuples at size n, the size's work
+    already checked against the budget (``arrangement.alpha``)."""
+    if flat.kappa == 0:
         return 1
-    check_board_walk(board, n, budget)
-    geo = geometry_at(ms, board, n)
-    npts = len(geo.points)
-    if npts == 0:
+    geo = _PointGeometry(ms, board, n)
+    if not geo.points:
         return 0
-    envelope = npts ** min(kappa, 3)
-    if envelope > budget:
-        raise CapacityError(
-            f"alpha envelope {envelope} exceeds budget {budget}",
-            n=n, envelope=envelope, budget=budget)
-
     result = 1
     for nodes, edges, adjacency in slope_components(flat):
         if len(edges) == len(nodes) - 1:

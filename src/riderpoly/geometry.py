@@ -4,8 +4,8 @@ A piece is a set of basic moves: coprime, pairwise non-parallel integer
 vectors.  A board is a bounded convex polygon with rational data given by
 boundary inequalities ``a*x + b*y <= beta``; the playable cells at size
 parameter ``n`` are the integer points strictly inside the ``(n+1)``-fold
-dilate.  The integer points of the closed dilates give the flat counts at
-negative size parameters (see ``arrangement.alpha``).
+dilate, and at n < 0 those of the closed (-n-1)-fold dilate (see
+``region_at``).  Only this module turns a size into a dilate.
 
 Everything is exact: plain integers for moves, lattice points, attack
 tests and a board's inequalities (primitive integer rows), and
@@ -308,28 +308,30 @@ def _shoelace(vertices) -> Fraction:
     return abs(total)
 
 
-def _lattice_box(board: BoardPolygon, t: int) -> tuple[int, int, int, int]:
-    """(x_lo, x_hi, y_lo, y_hi): the integer bounding box of the t-fold dilate."""
-    if t < 0:
-        raise ValueError("dilation factor must be a nonnegative integer")
+def region_at(board: BoardPolygon, n: int):
+    """(box, rows) of the cells at size n.
+
+    The cells at size n are the integer points strictly inside the
+    (n+1)-fold dilate, or, for n < 0, those of the closed (-n-1)-fold
+    dilate (the 0-fold dilate is the origin alone), whose counts give the
+    quasipolynomials' values at n by Ehrhart-Macdonald reciprocity.
+    ``box`` is the dilate's integer bounding box (x_lo, x_hi, y_lo, y_hi),
+    the extent of a walk over the cells; ``rows`` are the board's rows at
+    size n, each as ``a*x + b*y <= bound``.
+    """
+    t = abs(n + 1)
     (xa, xb), (xc, xd), (ya, yb), (yc, yd) = board._extremes
-    return -(-t * xa // xb), t * xc // xd, -(-t * ya // yb), t * yc // yd
+    box = -(-t * xa // xb), t * xc // xd, -(-t * ya // yb), t * yc // yd
+    # a*x + b*y < t*c inside the dilate, or <= t*c in the closed one
+    return box, [(a, b, t * c - (n >= 0)) for a, b, c in board.rows]
 
 
-def bounding_box_cells(board: BoardPolygon, t: int) -> int:
-    """Integer points of the t-fold dilate's bounding box: a cell walk's bound."""
-    x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
-    return max(0, x_hi - x_lo + 1) * max(0, y_hi - y_lo + 1)
-
-
-def _columns(board: BoardPolygon, t: int, strict: bool):
-    """Yield (x, y_lo, y_hi) per column of the t-fold dilate's lattice points.
+def _columns(board: BoardPolygon, n: int):
+    """Yield (x, y_lo, y_hi) per column of the cells at size n.
 
     A column with no points may come as y_lo > y_hi.
     """
-    x_lo, x_hi, y_lo, y_hi = _lattice_box(board, t)
-    # a*x + b*y < c, or <= c for the closed dilate, as a*x + b*y <= bound
-    rows = [(a, b, t * c - strict) for a, b, c in board.rows]
+    (x_lo, x_hi, y_lo, y_hi), rows = region_at(board, n)
     for x in range(x_lo, x_hi + 1):
         # Each row bounds y in column x: b * y <= c - a * x.
         lo, hi = y_lo, y_hi
@@ -345,30 +347,31 @@ def _columns(board: BoardPolygon, t: int, strict: bool):
             yield x, lo, hi
 
 
-def _lattice_points(board: BoardPolygon, t: int, strict: bool) -> list[Point]:
-    return [(x, y) for x, lo, hi in _columns(board, t, strict)
+def _cells(board: BoardPolygon, n: int) -> list[Point]:
+    return [(x, y) for x, lo, hi in _columns(board, n)
             for y in range(lo, hi + 1)]
 
 
 def interior_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
-    """Integer points strictly inside the t-fold dilate, in lexicographic order."""
+    """Integer points strictly inside the t-fold dilate, in lexicographic
+    order: the cells at size t - 1."""
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return _lattice_points(board, t, True)
+    return _cells(board, t - 1)
 
 
-def interior_lattice_count(board: BoardPolygon, t: int) -> int:
-    """How many points ``interior_lattice_points`` returns, from its column
-    ranges alone: one pass over the columns, none over the points."""
-    return sum(max(0, hi - lo + 1) for _, lo, hi in _columns(board, t, True))
+def cells_at(board: BoardPolygon, n: int) -> list[Point]:
+    """The cells at size n (see ``region_at``), in lexicographic order."""
+    # Through the lister that perfbench/trace_job.py spans.
+    if n >= 0:
+        return interior_lattice_points(board, n + 1)
+    return _cells(board, n)
 
 
-def closed_lattice_points(board: BoardPolygon, t: int) -> list[Point]:
-    """Integer points of the closed t-fold dilate (t >= 0), in lexicographic order.
-
-    The 0-fold dilate is the origin alone.
-    """
-    return _lattice_points(board, t, False)
+def cell_count(board: BoardPolygon, n: int) -> int:
+    """How many points ``cells_at`` returns, from its column ranges alone:
+    one pass over the columns, none over the points."""
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _columns(board, n))
 
 
 def attacks(zi: Point, zj: Point, ms: MoveSet) -> bool:

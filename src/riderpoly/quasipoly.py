@@ -270,9 +270,7 @@ def detect_period(table, p_max: int,
         try:
             fit_values(values, p, 2 * table.q)
             return p
-        except ValidationMismatchError as exc:
-            failures.append(f"p={p}: {exc}")
-        except InsufficientDataError as exc:
+        except (ValidationMismatchError, InsufficientDataError) as exc:
             failures.append(f"p={p}: {exc}")
     raise PeriodNotFoundError(
         "no candidate period fits the table: " + "; ".join(failures))

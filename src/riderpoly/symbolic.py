@@ -11,7 +11,9 @@ divides the flat polytope's vertex denominator, fitted exactly (with
 held-out validation) from a window of sizes around n = 0, the negative
 ones by Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
 cannot touch (the q = 4 table on the square board, for instance).
-Every series is cross-checked against brute force before it is returned.
+Every size a fit samples is gated (``counting.check_size``) before the
+first flat is counted, and every series is cross-checked against brute
+force before it is returned.
 Only this route counts flats, so importing it compiles ``flatcount`` too,
 at start-up, before the closure is built, rather than inside the first
 flat count.
@@ -30,12 +32,12 @@ from .counting import (
     DEFAULT_BUDGET,
     METHOD_RECONSTRUCTION,
     CountTable,
-    check_board_walk,
     check_range,
+    check_size,
     count_series,
 )
 from .errors import RiderPolyError
-from .geometry import BoardPolygon, interior_lattice_count
+from .geometry import BoardPolygon
 
 
 def board_count_qp(board: BoardPolygon,
@@ -43,34 +45,37 @@ def board_count_qp(board: BoardPolygon,
     """The cell count N as an exact quasipolynomial of n (degree 2).
 
     Fitted from counted values with period equal to the board denominator:
-    five rows per residue, so two held-out rows each.  Every walk is checked
-    against the budget before the first one starts.
+    five rows per residue, so two held-out rows each.  Each value is N as
+    the budget gate (``counting.check_size``) reads it, after the size's
+    walk is checked; no cell is listed.
     """
     period = board.denominator
-    ns = range(0, 5 * period)
-    for n in ns:
-        check_board_walk(board, n, budget)
-    values = {n: interior_lattice_count(board, n + 1) for n in ns}
+    values = {n: check_size(board, n, budget, 0, "count")
+              for n in range(5 * period)}
     return qp.fit_values(values, period, 2).reduced()
 
 
-def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
+def _window(flat: Flat, period: int) -> range:
+    """The sizes ``alpha_qp`` samples at the given period: p*(d + 2) sizes
+    around 0, for the flat's dimension d = 2*kappa - codim."""
+    span = period * (2 * flat.kappa - flat.codim + 2)
+    return range(-(span // 2), span - span // 2)
+
+
+def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon, period: int,
              budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
     """The flat's alpha as an exact, validated quasipolynomial of n.
 
-    A flat of dimension d = 2*kappa - codim is fitted at period p = its
-    flat polytope denominator from d + 2 values per residue, taken from a
+    A flat of dimension d = 2*kappa - codim is fitted at period p, its
+    flat polytope denominator, from d + 2 values per residue, taken from a
     window of p*(d + 2) sizes around 0: ``alpha`` at negative n counts
     the closed dilates (Ehrhart-Macdonald reciprocity), so the largest |n|
     sampled is about p*(d + 2)/2 instead of p*(d + 2).  Each residue's
     largest sample, at n >= 0, is its held-out row.
     """
-    degree = 2 * flat.kappa - flat.codim
-    period = flat_polytope_denominator(flat, board)
-    span = period * (degree + 2)
     values = {n: alpha(sl, flat, board, n, budget)
-              for n in range(-(span // 2), span - span // 2)}
-    return qp.fit_values(values, period, degree).reduced()
+              for n in _window(flat, period)}
+    return qp.fit_values(values, period, 2 * flat.kappa - flat.codim).reduced()
 
 
 def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
@@ -81,10 +86,13 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
     connected flats on pieces 0..k-1, a_m = sum over k of
     C(m-1, k-1) * c_k * a_{m-k}.  A connected class on k pieces is spread
     evenly over the C(q, k) piece subsets, so each contributes
-    size / C(q, k) flats to c_k.
+    size / C(q, k) flats to c_k.  The sizes of N's fit are checked first,
+    then every class's whole alpha window, in class order, before the
+    first flat is counted.
     """
     q = sl.q
     c = [None, board_count_qp(board, budget)] + [qp.constant(0)] * (q - 1)
+    fits = []
     for cls in sl.iso_classes:
         rep = sl.flats[cls.representative]
         if not is_connected(rep):
@@ -92,7 +100,13 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
         share, rest = divmod(cls.size, comb(q, cls.kappa))
         if rest:
             raise RuntimeError("a connected class is uneven over piece subsets")
-        c[cls.kappa] += share * rep.mobius * alpha_qp(sl, rep, board, budget)
+        period = flat_polytope_denominator(rep, board)
+        for n in _window(rep, period):
+            check_size(board, n, budget, rep.kappa, "alpha")
+        fits.append((rep, share, period))
+    for rep, share, period in fits:
+        c[rep.kappa] += (share * rep.mobius
+                         * alpha_qp(sl, rep, board, period, budget))
     a = [qp.constant(1)]
     for m in range(1, q + 1):
         a_m = qp.constant(0)

@@ -3,6 +3,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import strategies as st
 
+from riderpoly import geometry
 from riderpoly.errors import BoardError
 from riderpoly.geometry import BoardPolygon, piece_from_text
 from riderpoly.linalg import scan_vertices
@@ -36,6 +37,17 @@ def nightrider():
 @pytest.fixture(scope="session")
 def semiqueen():
     return piece_from_text("semiqueen")
+
+
+@pytest.fixture
+def no_cell_listing(monkeypatch):
+    """Make listing any cell fail, so a test can require its budget refusal
+    to come first: both listers, of the interior and of the closed dilates."""
+    def unreachable(*args):
+        raise AssertionError("cells listed before the budget checks")
+
+    monkeypatch.setattr(geometry, "interior_lattice_points", unreachable)
+    monkeypatch.setattr(geometry, "_cells", unreachable)
 
 
 # Move directions with entries in [-2, 2], one per line through the origin:

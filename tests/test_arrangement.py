@@ -26,7 +26,7 @@ from riderpoly.errors import CapacityError
 from riderpoly.geometry import (
     BoardPolygon,
     board_from_text,
-    closed_lattice_points,
+    cells_at,
     interior_lattice_points,
     piece_from_text,
 )
@@ -430,6 +430,28 @@ class TestReconstruction:
     def test_empty_board(self, queen_sl2, square):
         assert reconstruct_count(queen_sl2, square, 0) == 0
 
+    @pytest.mark.parametrize("n", [20, -20])
+    def test_alpha_checks_budget_before_listing(self, queen_sl2, square, n,
+                                                no_cell_listing):
+        # 400 cells at n = 20, and as many in the closed 19-fold dilate.
+        flat = next(f for f in queen_sl2.flats if f.kappa == 2)
+        with pytest.raises(CapacityError) as exc:
+            alpha(queen_sl2, flat, square, n, budget=10**5)
+        assert exc.value.context == {"n": n, "envelope": 400**2,
+                                     "budget": 10**5}
+        assert str(exc.value) == (
+            f"alpha envelope 160000 exceeds budget 100000 at n={n}")
+
+    @pytest.mark.parametrize("n", [20, -20])
+    def test_reconstruct_count_checks_every_kappa_before_listing(
+            self, queen_sl3, square, n, no_cell_listing):
+        # The kappa = 2 classes fit the budget and kappa = 3 does not:
+        # the refusal comes before the kappa = 2 flats are counted.
+        with pytest.raises(CapacityError) as exc:
+            reconstruct_count(queen_sl3, square, n, budget=10**6)
+        assert exc.value.context == {"n": n, "envelope": 400**3,
+                                     "budget": 10**6}
+
     @pytest.mark.parametrize("name", ["queen", "rook", "bishop", "nightrider"])
     @pytest.mark.parametrize("q", [2, 3])
     def test_oracle_equivalence(self, name, q, square):
@@ -440,13 +462,15 @@ class TestReconstruction:
             assert reconstruct_count(sl, square, n) == lab
 
     @settings(max_examples=50, deadline=None)
-    @given(ms=random_pieces(), inequalities=RATIONAL_BOARDS)
-    def test_oracle_equivalence_on_rational_boards(self, ms, inequalities):
+    @given(ms=random_pieces(), inequalities=RATIONAL_BOARDS,
+           q=st.sampled_from([2, 3]))
+    def test_oracle_equivalence_on_rational_boards(self, ms, inequalities, q):
         board = BoardPolygon(inequalities)
-        sl = intersection_semilattice(ms, 2)
-        for n in range(0, 5):
-            lab, unlab = count_nonattacking(ms, board, 2, n)
-            assert reconstruct_count(sl, board, n) == 2 * unlab == lab, n
+        sl = intersection_semilattice(ms, q)
+        for n in range(0, 5 if q == 2 else 4):
+            lab, unlab = count_nonattacking(ms, board, q, n)
+            assert (reconstruct_count(sl, board, n) == factorial(q) * unlab
+                    == lab), n
 
     @settings(max_examples=60, deadline=None)
     @given(ms=random_pieces(), q=st.integers(1, 3),
@@ -458,8 +482,7 @@ class TestReconstruction:
         sl = intersection_semilattice(ms, q)
         for n in range(-3, 7):
             # N at n < 0 is the closed dilate's count (reciprocity, degree 2).
-            npts = len(interior_lattice_points(board, n + 1) if n >= 0
-                       else closed_lattice_points(board, -1 - n))
+            npts = len(cells_at(board, n))
             per_flat = sum(flat.mobius * alpha(sl, flat, board, n)
                            * npts ** (q - flat.kappa) for flat in sl.flats)
             assert reconstruct_count(sl, board, n) == per_flat, n
@@ -533,7 +556,7 @@ class TestAlphaParity:
             # Ehrhart-Macdonald reciprocity: alpha(-m) is the signed count
             # in the closed (m-1)-fold dilate.
             for m in range(1, 4):
-                points = closed_lattice_points(board, m - 1)
+                points = cells_at(board, -m)
                 assert (alpha(sl, flat, board, -m)
                         == (-1) ** flat.codim
                         * alpha_by_cells(ms, flat, points)), (cls.id, -m)

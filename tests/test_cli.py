@@ -97,6 +97,33 @@ class TestCount:
         assert data["error"]["context"] == {
             "n": "10", "envelope": str(100**3), "budget": "1000"}
 
+    def test_search_envelope_counts_prefixes(self, capsys):
+        # Past q = 4 the kernel's prefixes outnumber N**3: 144**3 fits.
+        code, out = run_cli(capsys, "count", "--piece", "queen", "--q", "6",
+                            "--n", "12", "--budget", "3000000",
+                            "--format", "json")
+        assert code == 3
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["context"] == {
+            "n": "12", "envelope": "498685188", "budget": "3000000"}
+
+    def test_alpha_windows_checked_before_counting(self, capsys):
+        # Board denominator 60: a fitted class's window reaches n = -750,
+        # where 786432 cells square to the envelope.  Every window is
+        # checked before the first flat is counted.
+        start = perf_counter()
+        code, out = run_cli(capsys, "count", "--method", "reconstruction",
+                            "--piece", "queen", "--q", "2", "--n", "1:8",
+                            "--board", "poly:-2/3,0,1/5;0,-3,0;4,6,7",
+                            "--format", "json")
+        assert perf_counter() - start < 5
+        assert code == 3
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["context"] == {
+            "n": "-750", "envelope": "618475290624", "budget": "10000000000"}
+
     # The reconstruction route's first walk is the board count fit at n=0.
     @pytest.mark.parametrize("method, cells", [("brute", 6001 * 6001),
                                                ("reconstruction", 3001 * 3001)],

@@ -76,19 +76,52 @@ class TestCountSeries:
         table = count_series(rook, square, 0, 1, 5)
         assert all(table.rows[n] == (1, 1) for n in table.ns())
 
-    def test_capacity_error_carries_n(self, queen, square, monkeypatch):
+    def test_capacity_error_carries_n(self, queen, square, monkeypatch,
+                                      no_cell_listing):
         # Every size is checked before any cell is listed or counted, and
         # the refusal names the first size over budget.
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
         monkeypatch.setattr(kernel, "count_nonattacking_subsets", unreachable)
-        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
         with pytest.raises(CapacityError) as exc:
             count_series(queen, square, 3, 1, 25, budget=10**5)
         assert exc.value.context["n"] == 7
         assert str(exc.value) == (
             "search envelope 117649 exceeds budget 100000 at n=7")
+
+    def test_search_envelope_bounds_the_kernel_past_q4(self, queen, square,
+                                                       monkeypatch,
+                                                       no_cell_listing):
+        # The kernel steps through every nonattacking prefix of 1..q-1
+        # cells, so past q = 4 the envelope charges sum C(N, k), k < q:
+        # six queens on the 144 cells of n = 12 pass N**3 = 2985984 but
+        # not the 498685188 prefixes.  Refused before any cell is listed.
+        def unreachable(*args):
+            raise AssertionError("work started before the budget checks")
+
+        monkeypatch.setattr(kernel, "count_nonattacking_subsets", unreachable)
+        with pytest.raises(CapacityError) as exc:
+            count_series(queen, square, 6, 12, 12, budget=3 * 10**6)
+        envelope = sum(comb(144, k) for k in range(1, 6))
+        assert envelope == 498685188
+        assert exc.value.context == {"n": 12, "envelope": envelope,
+                                     "budget": 3 * 10**6}
+        assert str(exc.value) == (
+            "search envelope 498685188 exceeds budget 3000000 at n=12")
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_search_envelope_through_q4_is_cells_to_min_q_3(self, square, q):
+        # Up to q = 4 the prefixes never outnumber N**min(q, 3), so the
+        # gate passes at exactly that budget and refuses one below it.
+        for n in range(3, 12):
+            envelope = (n * n) ** min(q, 3)
+            assert counting.check_size(square, n, envelope, q,
+                                       "count") == n * n
+            with pytest.raises(CapacityError) as exc:
+                counting.check_size(square, n, envelope - 1, q, "count")
+            assert exc.value.context == {"n": n, "envelope": envelope,
+                                         "budget": envelope - 1}
 
     def test_non_nesting_board_matches_square(self, queen, square):
         # A translate of the square: the same rows, one run per size.
@@ -215,12 +248,8 @@ class TestCensus:
         assert len(combos) == 8
         assert all(a < b for a, b in combos)
 
-    def test_empty_placement(self, rook, square, monkeypatch):
+    def test_empty_placement(self, rook, square, no_cell_listing):
         # q = 0: the empty placement's one type, with no cell listed.
-        def unreachable(*args):
-            raise AssertionError("cells listed for q = 0")
-
-        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
         assert census_types(rook, square, 0, 0, 3) == dict.fromkeys(range(4),
                                                                     (1, 1))
 
@@ -228,14 +257,14 @@ class TestCensus:
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
             census_types(queen, square, 2, -1, 1)
 
-    def test_capacity_error_carries_n(self, queen, square, monkeypatch):
+    def test_capacity_error_carries_n(self, queen, square, monkeypatch,
+                                      no_cell_listing):
         # The whole range is checked before any cell is listed or
         # iterated, and the refusal names the first size over budget.
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
         monkeypatch.setattr(kernel, "iter_nonattacking_subsets", unreachable)
-        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
         with pytest.raises(CapacityError) as exc:
             census_types(queen, square, 3, 4, 25, budget=10**5)
         assert exc.value.context["n"] == 7
@@ -243,7 +272,7 @@ class TestCensus:
             "search envelope 117649 exceeds budget 100000 at n=7")
 
     def test_census_budget_counts_placements(self, queen, square,
-                                             monkeypatch):
+                                             monkeypatch, no_cell_listing):
         # Four queens on the n**2 cells of sizes 8..12 pass the kernel's
         # envelope (at most 144**3 = 2985984), but the census visits every
         # placement, and C(100, 4) = 3921225 at n = 10 is the first size
@@ -252,7 +281,6 @@ class TestCensus:
             raise AssertionError("work started before the budget checks")
 
         monkeypatch.setattr(kernel, "iter_nonattacking_subsets", unreachable)
-        monkeypatch.setattr(counting, "interior_lattice_points", unreachable)
         with pytest.raises(CapacityError) as exc:
             census_types(queen, square, 4, 8, 12, budget=3 * 10**6)
         assert exc.value.context == {"n": 10, "placements": comb(100, 4),

@@ -10,13 +10,13 @@ from riderpoly.geometry import (
     BoardPolygon,
     Move,
     attacks,
-    bounding_box_cells,
     board_from_text,
-    closed_lattice_points,
-    interior_lattice_count,
+    cell_count,
+    cells_at,
     interior_lattice_points,
     piece_from_text,
     reachable_by_two_moves,
+    region_at,
     validate_move_set,
 )
 
@@ -152,21 +152,33 @@ class TestRationalBoards:
         assert scaled == board and hash(scaled) == hash(board)
         assert BoardPolygon(board.rows) == board
 
-        for t in range(0, 4):
+        # Size n: inside the (n+1)-fold dilate, or the closed (-n-1)-fold.
+        for n in range(-4, 4):
+            t = n + 1 if n >= 0 else -1 - n
             xs = [t * x for x, _ in reference]
             ys = [t * y for _, y in reference]
-            box = [(x, y) for x in range(ceil(min(xs)), floor(max(xs)) + 1)
-                   for y in range(ceil(min(ys)), floor(max(ys)) + 1)]
-            assert closed_lattice_points(board, t) == [
-                (x, y) for x, y in box
-                if all(a * x + b * y <= t * beta
-                       for a, b, beta in inequalities)]
-            if t:
-                interior = [(x, y) for x, y in box
-                            if all(a * x + b * y < t * beta
-                                   for a, b, beta in inequalities)]
-                assert interior_lattice_points(board, t) == interior
-                assert interior_lattice_count(board, t) == len(interior)
+            extent = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)),
+                      floor(max(ys)))
+            box = [(x, y) for x in range(extent[0], extent[1] + 1)
+                   for y in range(extent[2], extent[3] + 1)]
+            if n >= 0:
+                cells = [(x, y) for x, y in box
+                         if all(a * x + b * y < t * beta
+                                for a, b, beta in inequalities)]
+                assert interior_lattice_points(board, t) == cells
+            else:
+                cells = [(x, y) for x, y in box
+                         if all(a * x + b * y <= t * beta
+                                for a, b, beta in inequalities)]
+            assert cells_at(board, n) == cells
+            assert cell_count(board, n) == len(cells)
+            # The walk covers the box, and the rows cut the cells from it.
+            walk_box, rows = region_at(board, n)
+            assert walk_box == extent
+            assert len(box) >= cell_count(board, n)
+            assert cells == [(x, y) for x, y in box
+                             if all(a * x + b * y <= bound
+                                    for a, b, bound in rows)]
 
 
 # Number-like fields, kept short: an exponent such as 1e9999999 is parsed
@@ -236,14 +248,16 @@ class TestInteriorLatticePoints:
 
 
 class TestClosedLatticePoints:
+    # The cells at size n < 0 are those of the closed (-n-1)-fold dilate.
     @pytest.mark.parametrize("t", range(0, 8))
     def test_square_count(self, square, t):
-        assert len(closed_lattice_points(square, t)) == (t + 1) ** 2
+        assert len(cells_at(square, -1 - t)) == (t + 1) ** 2
+        assert cell_count(square, -1 - t) == (t + 1) ** 2
 
     def test_zero_dilate_is_origin(self):
         board = board_from_text("poly:-1,0,-1/3;0,-1,-1/3;1,1,1")
-        assert closed_lattice_points(board, 0) == [(0, 0)]
-        assert closed_lattice_points(board, 1) == []
+        assert cells_at(board, -1) == [(0, 0)]
+        assert cells_at(board, -2) == []
 
     @pytest.mark.parametrize("board_text", [
         "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3",
@@ -252,7 +266,7 @@ class TestClosedLatticePoints:
         board = board_from_text(board_text)
         for t in range(1, 7):
             rows = [(a, b, t * c) for a, b, c in board.rows]
-            closed = closed_lattice_points(board, t)
+            closed = cells_at(board, -1 - t)
             assert closed == sorted(closed)
             assert set(interior_lattice_points(board, t)) == {
                 (x, y) for x, y in closed
@@ -273,7 +287,10 @@ class TestClosedLatticePoints:
             ys = [t * y for _, y in board.vertices]
             width = floor(max(xs)) - ceil(min(xs)) + 1
             height = floor(max(ys)) - ceil(min(ys)) + 1
-            assert bounding_box_cells(board, t) == width * height
+            # The t-fold dilate's box, at size t - 1 and at size -1 - t.
+            for n in {t - 1, -1 - t}:
+                (x_lo, x_hi, y_lo, y_hi), _ = region_at(board, n)
+                assert (x_hi - x_lo + 1) * (y_hi - y_lo + 1) == width * height
 
 
 class TestAttacks:

@@ -10,7 +10,7 @@ from riderpoly.counting import (
     count_nonattacking,
     count_series,
 )
-from riderpoly.errors import FitError, RiderPolyError
+from riderpoly.errors import CapacityError, FitError, RiderPolyError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
@@ -76,7 +76,8 @@ class TestAlphaQp:
     def test_matches_direct_enumeration(self, queen_sl3, square):
         for cls in queen_sl3.iso_classes:
             flat = queen_sl3.flats[cls.representative]
-            fitted = alpha_qp(queen_sl3, flat, square)
+            fitted = alpha_qp(queen_sl3, flat, square,
+                              flat_polytope_denominator(flat, square))
             for n in range(0, 9):
                 assert fitted.evaluate(n) == alpha(queen_sl3, flat, square, n), \
                     (cls.id, n)
@@ -85,7 +86,8 @@ class TestAlphaQp:
         sl = intersection_semilattice(nightrider, 2)
         for cls in sl.iso_classes:
             flat = sl.flats[cls.representative]
-            fitted = alpha_qp(sl, flat, square)
+            fitted = alpha_qp(sl, flat, square,
+                              flat_polytope_denominator(flat, square))
             for n in range(0, 10):
                 assert fitted.evaluate(n) == alpha(sl, flat, square, n)
 
@@ -127,6 +129,16 @@ class TestReconstructionSeries:
         with pytest.raises(FitError, match=message):
             reconstruction_quasipolynomials(
                 intersection_semilattice(rook, 2), square)
+
+    def test_every_window_checked_before_listing(self, queen_sl3, square,
+                                                 no_cell_listing):
+        # Every connected class's alpha window is checked before the first
+        # flat is counted.  The first refusal is at n = -5, the closed
+        # 4-fold dilate's 25 cells, in the first window that reaches it.
+        with pytest.raises(CapacityError) as exc:
+            labelled_count_qps(queen_sl3, square, budget=10**4)
+        assert exc.value.context == {"n": -5, "envelope": 25**3,
+                                     "budget": 10**4}
 
     @pytest.mark.parametrize("name", ["queen", "rook"])
     def test_fewer_pieces_from_one_recursion(self, name, square):
