@@ -5,25 +5,24 @@ move): the configurations where that pair lies on a common move line.
 Intersecting hyperplanes in all combinations yields the semilattice of
 flats; each flat carries its defining equations (canonical primitive
 integer row basis), its hyperplane mask, Mobius value, and slope graph.
-The closure eliminates each candidate once: a flat's stored echelon is
-extended by one ``linalg.insert_row`` per hyperplane outside the
-hyperplanes already covered, and the members of a new flat come from
-its mask, not from a second pass over every hyperplane.  The
-inclusion-exclusion sum of Mobius-weighted lattice-point counts over all
-flats (counted in ``flatcount``) reconstructs the nonattacking count,
-independently of the brute-force enumerator.  A flat's count is defined
-at every integer n: at negative n it is the signed count in a closed
-dilate (Ehrhart-Macdonald reciprocity), and at n = -1 the sum counts the
-configuration types.  ``flatcount`` and the budget gate
-(``counting.check_size``) are imported inside the functions that use
-them, so the commands that build a semilattice but count no flat
-(``bounds``, ``mobius``) compile neither ``flatcount`` nor ``counting``;
-the reconstruction route compiles both with ``symbolic``.
+Relabelling the pieces (S_q) permutes the hyperplanes and the flats; the
+iso classes are the orbits, and each orbit's Mobius value, key and
+automorphism count are computed once.  The inclusion-exclusion sum of
+Mobius-weighted lattice-point counts over all flats (counted in
+``flatcount``) reconstructs the nonattacking count, independently of the
+brute-force enumerator.  A flat's count is defined at every integer n: at
+negative n it is the signed count in a closed dilate (Ehrhart-Macdonald
+reciprocity), and at n = -1 the sum counts the configuration types.
+``flatcount`` and the budget gate (``counting.check_size``) are imported
+inside the functions that use them, so ``bounds`` and ``mobius``, which
+count no flat, compile neither; the reconstruction route compiles both
+with ``symbolic``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
+from math import perm
 
 from .errors import DEFAULT_BUDGET, CapacityError, Record
 from .geometry import BoardPolygon, MoveSet
@@ -122,6 +121,9 @@ class Semilattice:
         self.ms = ms
         self.q = q
         self.hyperplanes = hyperplanes
+        self.hyperplane_ids = {(a, b, h.move_index): hid   # either order
+                               for hid, h in enumerate(hyperplanes)
+                               for a, b in ((h.i, h.j), (h.j, h.i))}
         self.flats = flats
         self.iso_classes: list[IsoClass] = []
 
@@ -138,14 +140,13 @@ class Semilattice:
         return next(f for f in self.flats if f.mask & mask == mask)
 
     def hyperplane_index(self, i: int, j: int, move_index: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.hyperplanes.index(Hyperplane(i, j, move_index))
+        """The id of hyperplane (i, j, move); ``KeyError`` if it is not one."""
+        return self.hyperplane_ids[i, j, move_index]
 
 
 def intersection_semilattice(ms: MoveSet, q: int,
                              max_flats: int = 200_000) -> Semilattice:
-    """Close the move arrangement under intersection; compute Mobius values.
+    """Close the move arrangement under intersection; class the flats.
 
     Each flat is kept as its ``linalg.insert_row`` echelon and its
     hyperplane mask, the set of hyperplanes containing it.  A flat is
@@ -155,7 +156,10 @@ def intersection_semilattice(ms: MoveSet, q: int,
     the remaining hyperplanes against its echelon, and every hyperplane of
     that mask then leads from the parent to the same flat, so none of them
     is eliminated again for this parent.  Flats are ordered by codimension,
-    then by rows.
+    then by rows.  A pass in that order then takes each flat not yet classed
+    with its S_q orbit as an iso class: Mobius value, key and |Aut| are
+    computed once per orbit, classes are ordered by key, and each class's
+    representative is its lowest-id member.
     """
     hyps = build_move_arrangement(ms, q)
     hrows = [hyperplane_row(h, ms, q) for h in hyps]
@@ -202,60 +206,53 @@ def intersection_semilattice(ms: MoveSet, q: int,
         flats.append(Flat(fid, rows, mask, tuple(involved), edges))
 
     sl = Semilattice(ms, q, hyps, flats)
-    _compute_mobius(sl)
-    _compute_iso_classes(sl)
+    _classify(sl)
     return sl
 
 
-def _compute_mobius(sl: Semilattice) -> None:
-    # mu(bottom, U) = -sum of mu over flats strictly containing U; flats
-    # are ordered by codimension, so every V in the sum is already done.
-    for flat in sl.flats:
-        if flat.codim == 0:
-            flat.mobius = 1
+def _classify(sl: Semilattice) -> None:
+    # Relabelling pieces by sigma sends hyperplane (i, j, r) to (sigma i,
+    # sigma j, r), and a flat to the flat of the image mask; the adjacent
+    # transpositions (k-1 k) generate S_q, so they reach the whole orbit.
+    ids = sl.hyperplane_ids
+    by_mask = {flat.mask: flat.id for flat in sl.flats}
+    orbits = []
+    for flat in sl.flats:       # in codimension order, as mu's sum needs
+        if flat.iso_key is not None:
             continue
-        total = 0
-        fmask = flat.mask
-        for other in sl.flats:
-            if other.codim >= flat.codim:
-                break
-            if other.mask & fmask == other.mask:
-                total += other.mobius
-        flat.mobius = -total
+        orbit, todo = {flat.id}, [flat]
+        while todo:
+            edges = todo.pop().edges
+            for k in range(1, sl.q):
+                s = {k - 1: k, k: k - 1}
+                image = by_mask[sum(1 << ids[s.get(i, i), s.get(j, j), r]
+                                    for i, j, r in edges)]
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(sl.flats[image])
+        members = [sl.flats[fid] for fid in sorted(orbit)]
+        # mu(V) over the flats V containing U sums to [U is the bottom]; each
+        # V but U comes before U, and only such flats have masks within U's.
+        mobius = (flat.codim == 0) - sum(v.mobius for v in sl.flats[:flat.id]
+                                         if v.mask & flat.mask == v.mask)
+        # The orbit realises every relabelling of the involved pieces, so
+        # the least order-preserving local edge list is the least relabelling.
+        key = (flat.kappa, min(
+            tuple((f.involved.index(i), f.involved.index(j), r)
+                  for i, j, r in f.edges) for f in members))
+        aut = perm(sl.q, flat.kappa) // len(members)
+        for f in members:
+            f.mobius, f.iso_key, f.aut_order = mobius, key, aut
+        orbits.append((key, members))
 
-
-def _compute_iso_classes(sl: Semilattice) -> None:
-    classes: dict[tuple, list[int]] = {}
-    for flat in sl.flats:
-        kappa = flat.kappa
-        local = {piece: a for a, piece in enumerate(flat.involved)}
-        edges = tuple(sorted((local[i], local[j], r) for i, j, r in flat.edges))
-        best = edges
-        aut = 0
-        for perm in permutations(range(kappa)):
-            relabelled = tuple(sorted(
-                (min(perm[a], perm[b]), max(perm[a], perm[b]), r)
-                for a, b, r in edges))
-            if relabelled == edges:
-                aut += 1
-            if relabelled < best:
-                best = relabelled
-        flat.iso_key = (kappa, best)
-        flat.aut_order = aut  # the identity always counts
-        classes.setdefault(flat.iso_key, []).append(flat.id)
-
-    for cid, (key, members) in enumerate(sorted(classes.items())):
-        rep = sl.flats[members[0]]
-        for fid in members:
-            flat = sl.flats[fid]
-            if flat.mobius != rep.mobius or flat.codim != rep.codim:
-                raise RuntimeError("isomorphic flats disagree on invariants")
+    # One orbit per key, so sorting never compares two orbits' members.
+    for cid, (key, members) in enumerate(sorted(orbits)):
+        rep = members[0]
         sl.iso_classes.append(IsoClass(
-            id=cid, key=key, kappa=rep.kappa, codim=rep.codim,
-            mobius=rep.mobius, aut_order=rep.aut_order,
-            representative=rep.id, members=tuple(members)))
-        for fid in members:
-            sl.flats[fid].iso_class = cid
+            cid, key, rep.kappa, rep.codim, rep.mobius, rep.aut_order,
+            rep.id, tuple(f.id for f in members)))
+        for f in members:
+            f.iso_class = cid
 
 
 def is_connected(flat: Flat) -> bool:

@@ -43,8 +43,9 @@ def _load_on_first_use(*names: str) -> None:
     and run at its first attribute access, which an import of it makes (a
     command's, a route module's, or the tracer's ``getattr``), so a route
     compiles as a whole when its command imports it.  One already imported
-    is left as it is.  As in the ``importlib.util.LazyLoader`` recipe, the
-    package gets no attribute for it: import it by name.
+    is left as it is.  The package gets the module as its attribute, as an
+    import of it would set, so ``from . import name`` binds it unrun: route
+    code imports names from a route module, which runs it.
     """
     for name in names:
         fullname = f"{__package__}.{name}"
@@ -53,6 +54,7 @@ def _load_on_first_use(*names: str) -> None:
             spec.loader = importlib.util.LazyLoader(spec.loader)
             module = importlib.util.module_from_spec(spec)
             sys.modules[fullname] = module
+            setattr(sys.modules[__package__], name, module)
             spec.loader.exec_module(module)
 
 
@@ -123,18 +125,18 @@ def _check_options(args) -> None:
 
 
 def _fit_table(args, table):
-    from . import quasipoly as qp
+    from .quasipoly import detect_period, fit
     if args.period is None:
-        period = qp.detect_period(table, args.p_max,
-                                  denominator_bound=args.denominator_bound,
-                                  column=args.column)
+        period = detect_period(table, args.p_max,
+                               denominator_bound=args.denominator_bound,
+                               column=args.column)
     else:
         period = args.period
-    return qp.fit(table, period, column=args.column), period
+    return fit(table, period, column=args.column), period
 
 
 def cmd_fit(args) -> int:
-    from . import quasipoly as qp
+    from .quasipoly import pretty
     from .counting import count_series
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
@@ -157,13 +159,13 @@ def cmd_fit(args) -> int:
     _emit(args, data, [
         f"{ms.label} on {board.as_text()}, q={args.q}, column {args.column}",
         f"period {period}, degree {fitted.degree}   ({label})",
-        qp.pretty(fitted),
+        pretty(fitted),
     ])
     return 0
 
 
 def cmd_types(args) -> int:
-    from . import quasipoly as qp
+    from .quasipoly import types_count
     from .counting import census_types, count_series
     if args.census:
         c_from, c_to = _parse_range("--census", args.census)
@@ -186,7 +188,7 @@ def cmd_types(args) -> int:
             print(f"  census n={row['n']}: unlabelled {row['unlabelled_types']} "
                   f"labelled {row['labelled_types']}")
     fitted, period = _fit_table(args, table)
-    unlabelled_types = qp.types_count(fitted)
+    unlabelled_types = types_count(fitted)
     data = {
         "piece": ms.label,
         "board": board.as_text(),
@@ -230,11 +232,11 @@ def cmd_bounds(args) -> int:
         ms, board, args.q, system_budget=args.system_budget,
         minor_budget=args.minor_budget)
     if args.observe_period_n is not None:
-        from . import quasipoly as qp
+        from .quasipoly import detect_period
         from .counting import count_series
         table = count_series(ms, board, args.q, 1, args.observe_period_n,
                              budget=args.budget)
-        report["period_observed"] = qp.detect_period(
+        report["period_observed"] = detect_period(
             table, args.p_max,
             denominator_bound=report["denominator"])
         report["method"]["period"] = "table fit"

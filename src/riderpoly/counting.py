@@ -16,7 +16,7 @@ from bisect import bisect_right
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from . import kernel
+from .kernel import count_nonattacking_subsets, iter_nonattacking_subsets
 from .errors import (
     DEFAULT_BUDGET,
     AttackingConfigurationError,
@@ -190,7 +190,7 @@ def count_series(ms: MoveSet, board: BoardPolygon, q: int,
     fq = factorial(q)
     rows = {}
     for cells, ends in _nested_runs(board, sizes):
-        totals = kernel.count_nonattacking_subsets(attack_keys(ms, cells), q)
+        totals = count_nonattacking_subsets(attack_keys(ms, cells), q)
         rows.update((n, (fq * totals[k], totals[k])) for n, k in ends)
     return CountTable(ms.label, board, q, rows)
 
@@ -301,7 +301,7 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int,
         stops = [end for _, end in ends]
         # Per size, the piece keys of one placement per signature found.
         found = [{} for _ in ends]
-        for combo in kernel.iter_nonattacking_subsets(keys, q):
+        for combo in iter_nonattacking_subsets(keys, q):
             piece_keys = [cell_keys[i] for i in combo]
             found[bisect_right(stops, combo[-1])].setdefault(
                 _signature(piece_keys), piece_keys)

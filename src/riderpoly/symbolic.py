@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import flatcount  # noqa: F401
-from . import quasipoly as qp
 from .arrangement import Flat, Semilattice, alpha, is_connected
 from .bounds import flat_polytope_denominator
 from .counting import (
@@ -38,10 +37,11 @@ from .counting import (
 )
 from .errors import RiderPolyError
 from .geometry import BoardPolygon
+from .quasipoly import Quasipolynomial, check_ehrhart, constant, fit_values
 
 
 def board_count_qp(board: BoardPolygon,
-                   budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
+                   budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
     """The cell count N as an exact quasipolynomial of n (degree 2).
 
     Fitted from counted values with period equal to the board denominator:
@@ -52,7 +52,7 @@ def board_count_qp(board: BoardPolygon,
     period = board.denominator
     values = {n: check_size(board, n, budget, 0, "count")
               for n in range(5 * period)}
-    return qp.fit_values(values, period, 2).reduced()
+    return fit_values(values, period, 2).reduced()
 
 
 def _window(flat: Flat, period: int) -> range:
@@ -63,7 +63,7 @@ def _window(flat: Flat, period: int) -> range:
 
 
 def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon, period: int,
-             budget: int = DEFAULT_BUDGET) -> qp.Quasipolynomial:
+             budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
     """The flat's alpha as an exact, validated quasipolynomial of n.
 
     A flat of dimension d = 2*kappa - codim is fitted at period p, its
@@ -75,7 +75,7 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon, period: int,
     """
     values = {n: alpha(sl, flat, board, n, budget)
               for n in _window(flat, period)}
-    return qp.fit_values(values, period, 2 * flat.kappa - flat.codim).reduced()
+    return fit_values(values, period, 2 * flat.kappa - flat.codim).reduced()
 
 
 def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
@@ -91,7 +91,7 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
     first flat is counted.
     """
     q = sl.q
-    c = [None, board_count_qp(board, budget)] + [qp.constant(0)] * (q - 1)
+    c = [None, board_count_qp(board, budget)] + [constant(0)] * (q - 1)
     fits = []
     for cls in sl.iso_classes:
         rep = sl.flats[cls.representative]
@@ -107,9 +107,9 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
     for rep, share, period in fits:
         c[rep.kappa] += (share * rep.mobius
                          * alpha_qp(sl, rep, board, period, budget))
-    a = [qp.constant(1)]
+    a = [constant(1)]
     for m in range(1, q + 1):
-        a_m = qp.constant(0)
+        a_m = constant(0)
         for k in range(1, m + 1):
             a_m += comb(m - 1, k - 1) * c[k] * a[m - k]
         a.append(a_m)
@@ -126,7 +126,7 @@ def reconstruction_quasipolynomials(
     returning.
     """
     total = labelled_count_qps(sl, board, budget)[sl.q]
-    qp.check_ehrhart(total, sl.q, board.area, "labelled")
+    check_ehrhart(total, sl.q, board.area, "labelled")
     unlabelled = total * Fraction(1, factorial(sl.q))
     return total, unlabelled
 

@@ -214,7 +214,8 @@ class TestClosureParity:
         assert_flat_lookup(sl)
         assert_predicate_matches_splitter(sl)
 
-    @pytest.mark.parametrize("name", ["queen", "rook", "nightrider"])
+    @pytest.mark.parametrize("name", ["queen", "rook", "bishop", "nightrider",
+                                      "semiqueen"])
     def test_matches_double_elimination_q4(self, name):
         ms = piece_from_text(name)
         sl = intersection_semilattice(ms, 4)
@@ -251,6 +252,11 @@ class TestNamedFlats:
     def test_unknown_flat_rejected(self, queen_sl2):
         with pytest.raises(KeyError):
             queen_sl2.flat_of_hyperplanes([0, len(queen_sl2.hyperplanes)])
+
+    @pytest.mark.parametrize("i, j, move", [(0, 2, 0), (0, 1, 4), (1, 1, 0)])
+    def test_unknown_hyperplane_rejected(self, queen_sl2, i, j, move):
+        with pytest.raises(KeyError):
+            queen_sl2.hyperplane_index(i, j, move)
 
 
 def split_components(sl, flat):
@@ -337,8 +343,8 @@ class TestIsoClasses:
         cls = queen_sl3.iso_classes[weq.iso_class]
         assert cls.size == 3 == comb(3, 2) * factorial(2) // 2
 
-    def test_class_size_identity(self, queen_sl3, bishop_sl4):
-        for sl in (queen_sl3, bishop_sl4):
+    def test_class_size_identity(self, queen_sl3, queen_sl4, bishop_sl4):
+        for sl in (queen_sl3, queen_sl4, bishop_sl4):
             for cls in sl.iso_classes:
                 expected = (comb(sl.q, cls.kappa) * factorial(cls.kappa)
                             // cls.aut_order)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from argparse import Namespace
 from importlib import resources
@@ -467,6 +468,31 @@ class TestMobius:
         assert data["flat_count"] == 1
         assert data["flats"][0]["mobius"] == 1
         assert data["flats"][0]["kappa"] == 0
+
+    # sha256 of the whole JSON report: the semilattice and its iso classes
+    # must print byte for byte as they did before the classes were found as
+    # S_q orbits.
+    @pytest.mark.parametrize("piece, q, digest", [
+        ("queen", 4, "e141734cf99979b52aafbd9203b1d92b"
+                     "0890b98ad8c76ae513262104186bcad9"),
+        ("nightrider", 4, "8ff5eabf314b946921b81bc7173ab378"
+                          "9dec1dbb20f4fe75423f6b62fba39a6c"),
+        ("queen", 3, "828616c44f6da965b48446a1ef4aae64"
+                     "ff802a43580f2b8df78b1e094a144e63"),
+        ("rook", 3, "bf8b085067cf5cb0de383216b9c6798b"
+                    "ae3f3fa0bf98abad251ce72ba4494bbc"),
+        ("bishop", 3, "a061516543ade9dbe5ebaef3dc539804"
+                      "c7d6b752d3b5230a02706a5a957962ff"),
+        ("nightrider", 3, "5de146971047851f434d7a8f27c2ef76"
+                          "70e6ff001a37c04685389399d82d6433"),
+        ("semiqueen", 3, "8dfb5678df6ee7c16f387b3c0b2db130"
+                         "6f35d0b41605209af7f4a4f4453c5726"),
+    ])
+    def test_report_is_byte_identical(self, capsys, piece, q, digest):
+        code, out = run_cli(capsys, "mobius", "--piece", piece, "--q", str(q),
+                            "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBounds:

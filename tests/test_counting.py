@@ -83,7 +83,7 @@ class TestCountSeries:
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
-        monkeypatch.setattr(kernel, "count_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "count_nonattacking_subsets", unreachable)
         with pytest.raises(CapacityError) as exc:
             count_series(queen, square, 3, 1, 25, budget=10**5)
         assert exc.value.context["n"] == 7
@@ -100,7 +100,7 @@ class TestCountSeries:
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
-        monkeypatch.setattr(kernel, "count_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "count_nonattacking_subsets", unreachable)
         with pytest.raises(CapacityError) as exc:
             count_series(queen, square, 6, 12, 12, budget=3 * 10**6)
         envelope = sum(comb(144, k) for k in range(1, 6))
@@ -149,7 +149,7 @@ class TestCountSeries:
             calls.append(len(keys[0]))
             return count(keys, q)
 
-        monkeypatch.setattr(kernel, "count_nonattacking_subsets", recorded)
+        monkeypatch.setattr(counting, "count_nonattacking_subsets", recorded)
         count_series(queen, board_from_text(board_text), 2, n_from, 8)
         assert (len(calls), sum(calls)) == (runs, cells)
 
@@ -264,7 +264,7 @@ class TestCensus:
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
-        monkeypatch.setattr(kernel, "iter_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "iter_nonattacking_subsets", unreachable)
         with pytest.raises(CapacityError) as exc:
             census_types(queen, square, 3, 4, 25, budget=10**5)
         assert exc.value.context["n"] == 7
@@ -280,7 +280,7 @@ class TestCensus:
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
-        monkeypatch.setattr(kernel, "iter_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "iter_nonattacking_subsets", unreachable)
         with pytest.raises(CapacityError) as exc:
             census_types(queen, square, 4, 8, 12, budget=3 * 10**6)
         assert exc.value.context == {"n": 10, "placements": comb(100, 4),
@@ -301,7 +301,7 @@ class TestCensus:
             calls.append(q)
             return iterate(keys, q)
 
-        monkeypatch.setattr(kernel, "iter_nonattacking_subsets", recorded)
+        monkeypatch.setattr(counting, "iter_nonattacking_subsets", recorded)
         census = census_types(queen, board_from_text(board_text), 2, 1, 6)
         assert len(calls) == runs
         assert [census[n] for n in range(1, 7)] == [

@@ -72,6 +72,38 @@ print(json.dumps({"import": at_import, "run": ran, "exit": code,
                            for name, module in early.items()]}))
 """
 
+# The CLI's import gives the package each route module as its attribute,
+# as an import of it would, without running it; ``import riderpoly.counting``
+# then finds it there.
+ATTRIBUTE_PROBE = """
+import json, sys
+
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(
+    getattr(args[0], "co_filename", "").endswith("counting.py")))
+import riderpoly.cli
+registered = vars(riderpoly).get("counting") is sys.modules["riderpoly.counting"]
+unrun = not any(ran)
+import riderpoly.counting
+print(json.dumps({"registered": registered, "unrun": unrun,
+                  "callable": callable(riderpoly.counting.count_series)}))
+"""
+
+# The modules run once the CLI is imported and the reconstruction route
+# with it, as ``count --method reconstruction`` imports it.
+ROUTE_PROBE = """
+import json, os, sys
+
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(
+    getattr(args[0], "co_filename", "")))
+import riderpoly.cli
+import riderpoly.symbolic
+print(json.dumps(sorted(
+    "riderpoly." + os.path.basename(path)[:-3] for path in ran
+    if os.path.basename(os.path.dirname(path)) == "riderpoly")))
+"""
+
 CLI = {"riderpoly", "riderpoly.errors", "riderpoly.linalg",
        "riderpoly.geometry", "riderpoly.cli"}
 ENUMERATION = {"riderpoly.counting", "riderpoly.kernel"}
@@ -125,3 +157,17 @@ def test_module_imported_before_cli_is_kept():
     assert report["exit"] == 0
     assert report["same"] == [True, True]
     assert sorted(report["run"]) == sorted(CLI | ENUMERATION)
+
+
+def test_route_module_is_a_package_attribute():
+    report = run_probe(ATTRIBUTE_PROBE)
+    assert report == {"registered": True, "unrun": True, "callable": True}
+
+
+def test_importing_a_route_runs_all_of_it():
+    # ``from . import name`` binds a registered module unrun, so the route
+    # modules import names from one another; importing the route then runs
+    # every module it uses, before any of its work starts.
+    ran = set(run_probe(ROUTE_PROBE)) - {"riderpoly.__init__"}
+    assert ran == (CLI - {"riderpoly"}) | CHAIN | FITS | {
+        "riderpoly.symbolic", "riderpoly.flatcount"}
