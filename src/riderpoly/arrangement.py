@@ -13,10 +13,10 @@ Mobius-weighted lattice-point counts over all flats (counted in
 brute-force enumerator.  A flat's count is defined at every integer n: at
 negative n it is the signed count in a closed dilate (Ehrhart-Macdonald
 reciprocity), and at n = -1 the sum counts the configuration types.
-``flatcount`` and the budget gate (``counting.check_size``) are imported
-inside the functions that use them, so ``bounds`` and ``mobius``, which
-count no flat, compile neither; the reconstruction route compiles both
-with ``symbolic``.
+``flatcount`` and the budget gate (``counting.check_size``, run by the
+callers of ``alpha``) are imported inside the functions that use them,
+so ``bounds`` and ``mobius``, which count no flat, compile neither; the
+reconstruction route compiles both with ``symbolic``.
 """
 
 from __future__ import annotations
@@ -315,8 +315,7 @@ def semilattice_report(sl: Semilattice) -> dict:
     }
 
 
-def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
-          budget: int = DEFAULT_BUDGET) -> int:
+def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int) -> int:
     """The flat's lattice-point count at size n, for every integer n.
 
     For n >= 0 it is the number of kappa-tuples of board cells (points
@@ -325,13 +324,10 @@ def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
     Ehrhart-Macdonald reciprocity the same quasipolynomial at n = -m
     (m >= 1) is (-1)^d L(m-1), with d = 2*kappa - codim and L(t) the
     number of such tuples in the *closed* t-fold dilate (L(0) = 1).
-    Pieces the flat does not involve contribute no factor here, and for
-    kappa >= 1 the size is gated (``counting.check_size``) first.
+    Pieces the flat does not involve contribute no factor here.  It
+    checks no budget: the caller gates the size first.
     """
-    from .counting import check_size
     from .flatcount import count_flat
-    if flat.kappa:
-        check_size(board, n, budget, flat.kappa, "alpha")
     value = count_flat(sl.ms, flat, board, n)
     if n < 0 and flat.codim % 2:
         value = -value      # (-1)^d with d = 2*kappa - codim
@@ -357,6 +353,6 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     for cls in sl.iso_classes:
         rep = sl.flats[cls.representative]
         total += (cls.size * cls.mobius
-                  * alpha(sl, rep, board, n, budget)
+                  * alpha(sl, rep, board, n)
                   * npts ** (sl.q - cls.kappa))
     return total

@@ -109,7 +109,7 @@ def cmd_count(args) -> int:
     else:
         print(f"{ms.label} on {board.as_text()}, q={args.q} [{table.method}]")
         for n in table.ns():
-            lab, unlab = table.rows[n]
+            lab, unlab = table.row(n)
             print(f"  n={n:<4d} unlabelled={unlab}  labelled={lab}")
     return 0
 
@@ -128,11 +128,10 @@ def _fit_table(args, table):
     from .quasipoly import detect_period, fit
     if args.period is None:
         period = detect_period(table, args.p_max,
-                               denominator_bound=args.denominator_bound,
-                               column=args.column)
+                               denominator_bound=args.denominator_bound)
     else:
         period = args.period
-    return fit(table, period, column=args.column), period
+    return fit(table, period), period
 
 
 def cmd_fit(args) -> int:
@@ -144,6 +143,8 @@ def cmd_fit(args) -> int:
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
     fitted, period = _fit_table(args, table)
+    if args.column == "labelled":
+        fitted = factorial(args.q) * fitted
     label = f"empirically verified on n in [{n_from},{n_to}]"
     data = {
         "piece": ms.label,
@@ -203,7 +204,7 @@ def cmd_types(args) -> int:
     }
     _emit(args, data, [
         f"  types from fit at n=-1: unlabelled {unlabelled_types}, "
-        f"labelled {factorial(args.q) * unlabelled_types}"])
+        f"labelled {data['types']['labelled']}"])
     return 0
 
 
@@ -288,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fix the period instead of detecting it")
         p.add_argument("--p-max", type=int, default=8)
         p.add_argument("--denominator-bound", type=int, default=None)
-        p.add_argument("--column", choices=("unlabelled", "labelled"),
-                       default="unlabelled")
 
     p_fit = sub.add_parser("fit", help="fit the counting quasipolynomial")
     common(p_fit)
     fit_options(p_fit)
+    p_fit.add_argument("--column", choices=("unlabelled", "labelled"),
+                       default="unlabelled")
     p_fit.set_defaults(func=cmd_fit)
 
     p_types = sub.add_parser("types", help="configuration-type counts")

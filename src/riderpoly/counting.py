@@ -111,47 +111,41 @@ def count_nonattacking(ms: MoveSet, board: BoardPolygon, q: int, n: int,
     dilate of the board.  q = 0 counts the empty placement once.  The
     one-row ``count_series``, so the kernel's last running count.
     """
-    return count_series(ms, board, q, n, n, budget).rows[n]
+    return count_series(ms, board, q, n, n, budget).row(n)
 
 
 class CountTable(Record):
     """Exact counts per board size, with provenance.
 
-    ``rows`` maps n to (labelled, unlabelled); the labelled column always
-    equals q! times the unlabelled one.  Each table without ``rows`` gets
-    its own empty dict.  A mutable value, so unhashable.
+    ``rows`` maps n to the unlabelled count, the placements of q identical
+    pieces; ``row`` gives the labelled count with it.  Each table without
+    ``rows`` gets its own empty dict.  A mutable value, so unhashable.
     """
 
     __slots__ = ("piece", "board", "q", "rows", "method")
 
     def __init__(self, piece: str, board: BoardPolygon, q: int,
-                 rows: dict[int, tuple[int, int]] | None = None,
+                 rows: dict[int, int] | None = None,
                  method: str = METHOD_BRUTE_FORCE):
-        rows = {} if rows is None else rows
-        fq = factorial(q)
-        for n, (lab, unlab) in rows.items():
-            if lab != fq * unlab or unlab < 0:
-                raise ValueError(f"inconsistent row at n={n}: {lab} != {q}!*{unlab}")
         self.piece = piece
         self.board = board
         self.q = q
-        self.rows = rows
+        self.rows = {} if rows is None else rows
         self.method = method
 
     def ns(self) -> list[int]:
         return sorted(self.rows)
 
-    def unlabelled(self, n: int) -> int:
-        return self.rows[n][1]
-
-    def column(self, name: str) -> dict[int, int]:
-        idx = {"labelled": 0, "unlabelled": 1}[name]
-        return {n: pair[idx] for n, pair in self.rows.items()}
+    def row(self, n: int) -> tuple[int, int]:
+        """(labelled, unlabelled) at size n: each placement of identical
+        pieces is q! placements of labelled ones."""
+        unlabelled = self.rows[n]
+        return factorial(self.q) * unlabelled, unlabelled
 
     def to_csv(self) -> str:
         lines = ["n,labelled,unlabelled,method"]
         for n in self.ns():
-            lab, unlab = self.rows[n]
+            lab, unlab = self.row(n)
             lines.append(f"{n},{lab},{unlab},{self.method}")
         return "\n".join(lines) + "\n"
 
@@ -162,8 +156,8 @@ class CountTable(Record):
             "q": self.q,
             "method": self.method,
             "rows": [
-                {"n": n, "labelled": str(self.rows[n][0]),
-                 "unlabelled": str(self.rows[n][1])}
+                {"n": n, "labelled": str(self.row(n)[0]),
+                 "unlabelled": str(self.rows[n])}
                 for n in self.ns()
             ],
         }
@@ -186,12 +180,11 @@ def count_series(ms: MoveSet, board: BoardPolygon, q: int,
     """
     sizes = _gated_sizes(board, q, n_from, n_to, budget, "count")
     if q == 0:
-        return CountTable(ms.label, board, q, dict.fromkeys(sizes, (1, 1)))
-    fq = factorial(q)
+        return CountTable(ms.label, board, q, dict.fromkeys(sizes, 1))
     rows = {}
     for cells, ends in _nested_runs(board, sizes):
         totals = count_nonattacking_subsets(attack_keys(ms, cells), q)
-        rows.update((n, (fq * totals[k], totals[k])) for n, k in ends)
+        rows.update((n, totals[k]) for n, k in ends)
     return CountTable(ms.label, board, q, rows)
 
 

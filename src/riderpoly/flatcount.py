@@ -7,8 +7,8 @@ slope graph is counted on its own, a tree by a sum-product over line
 buckets and any other component by placing groups one at a time, with
 the last two groups of a cycle counted in closed form.  The cells at a
 size, the closed dilate's at n < 0, come from ``geometry.cells_at``; the
-work is checked against the budget before a count starts (see
-``arrangement.alpha``), so nothing here refuses.
+work is checked against the budget by the caller before a count starts,
+so nothing here refuses.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class _PointGeometry:
 
 def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int) -> int:
     """Unsigned count of the flat's cell tuples at size n, the size's work
-    already checked against the budget (``arrangement.alpha``)."""
+    already checked against the budget by the caller."""
     if flat.kappa == 0:
         return 1
     geo = _PointGeometry(ms, board, n)

@@ -400,16 +400,15 @@ def reachable_by_two_moves(m1: Move, m2: Move, delta: Sequence[int]) -> bool:
 
 
 class Configuration(Record, frozen=True):
-    """Positions of q pieces; ``labelled`` records whether order matters.
+    """Positions of q pieces, in piece order.
 
     A frozen value; ``counting.labelled_type_of`` reads a type off one.
     """
 
-    __slots__ = ("positions", "labelled")
+    __slots__ = ("positions",)
 
-    def __init__(self, positions: tuple[Point, ...], labelled: bool = True):
+    def __init__(self, positions: tuple[Point, ...]):
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "labelled", labelled)
 
     def __len__(self) -> int:
         return len(self.positions)

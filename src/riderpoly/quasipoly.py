@@ -224,19 +224,16 @@ def fit_values(values, period: int, degree: int) -> Quasipolynomial:
                            constituents=tuple(constituents))
 
 
-def check_ehrhart(qp: Quasipolynomial, q: int, area: Fraction,
-                  column: str) -> None:
+def check_ehrhart(qp: Quasipolynomial, q: int, area: Fraction) -> None:
     """Raise ``FitError`` unless qp has the Ehrhart form of a q-piece count.
 
-    The count of q pieces has degree 2q, and every constituent leads with
-    (vol B)^q / q! for the unlabelled column; labelled counts drop the q!.
+    The unlabelled count of q pieces has degree 2q, and every constituent
+    leads with (vol B)^q / q!.
     """
     if qp.degree != 2 * q:
         raise FitError(f"quasipolynomial has degree {qp.degree}, "
                        f"expected {2 * q}")
-    lead = area ** q
-    if column == "unlabelled":
-        lead /= factorial(q)
+    lead = area ** q / factorial(q)
     for k, cons in enumerate(qp.constituents):
         if cons[-1] != lead:
             raise FitError(
@@ -244,17 +241,18 @@ def check_ehrhart(qp: Quasipolynomial, q: int, area: Fraction,
                 "wrong degree or corrupted counts")
 
 
-def fit(table, period: int, column: str = "unlabelled") -> Quasipolynomial:
-    """Fit a count table at degree 2q, then check its Ehrhart form."""
-    fitted = fit_values(table.column(column), period, 2 * table.q)
-    check_ehrhart(fitted, table.q, table.board.area, column)
+def fit(table, period: int) -> Quasipolynomial:
+    """Fit a count table's unlabelled rows at degree 2q, then check their
+    Ehrhart form.  The labelled count is q! times the result."""
+    fitted = fit_values(table.rows, period, 2 * table.q)
+    check_ehrhart(fitted, table.q, table.board.area)
     return fitted
 
 
 def detect_period(table, p_max: int,
-                  denominator_bound: int | None = None,
-                  column: str = "unlabelled") -> int:
-    """Smallest period <= p_max whose degree-2q fit validates.
+                  denominator_bound: int | None = None) -> int:
+    """Smallest period <= p_max whose degree-2q fit of the unlabelled rows
+    validates.
 
     When a denominator bound is supplied the search is restricted to its
     divisors (the quasipolynomial period divides the inside-out
@@ -265,10 +263,9 @@ def detect_period(table, p_max: int,
     else:
         candidates = list(range(1, p_max + 1))
     failures = []
-    values = table.column(column)
     for p in candidates:
         try:
-            fit_values(values, p, 2 * table.q)
+            fit_values(table.rows, p, 2 * table.q)
             return p
         except (ValidationMismatchError, InsufficientDataError) as exc:
             failures.append(f"p={p}: {exc}")

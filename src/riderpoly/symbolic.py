@@ -11,9 +11,9 @@ divides the flat polytope's vertex denominator, fitted exactly (with
 held-out validation) from a window of sizes around n = 0, the negative
 ones by Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
 cannot touch (the q = 4 table on the square board, for instance).
-Every size a fit samples is gated (``counting.check_size``) before the
-first flat is counted, and every series is cross-checked against brute
-force before it is returned.
+Every (kappa, n) the fits sample is gated once (``counting.check_size``)
+before the first flat is counted, and every series is cross-checked
+against brute force before it is returned.
 Only this route counts flats, so importing it compiles ``flatcount`` too,
 at start-up, before the closure is built, rather than inside the first
 flat count.
@@ -62,8 +62,8 @@ def _window(flat: Flat, period: int) -> range:
     return range(-(span // 2), span - span // 2)
 
 
-def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon, period: int,
-             budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
+def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
+             period: int) -> Quasipolynomial:
     """The flat's alpha as an exact, validated quasipolynomial of n.
 
     A flat of dimension d = 2*kappa - codim is fitted at period p, its
@@ -71,9 +71,10 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon, period: int,
     window of p*(d + 2) sizes around 0: ``alpha`` at negative n counts
     the closed dilates (Ehrhart-Macdonald reciprocity), so the largest |n|
     sampled is about p*(d + 2)/2 instead of p*(d + 2).  Each residue's
-    largest sample, at n >= 0, is its held-out row.
+    largest sample, at n >= 0, is its held-out row.  The window is gated
+    by ``labelled_count_qps``, not here.
     """
-    values = {n: alpha(sl, flat, board, n, budget)
+    values = {n: alpha(sl, flat, board, n)
               for n in _window(flat, period)}
     return fit_values(values, period, 2 * flat.kappa - flat.codim).reduced()
 
@@ -88,11 +89,11 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
     evenly over the C(q, k) piece subsets, so each contributes
     size / C(q, k) flats to c_k.  The sizes of N's fit are checked first,
     then every class's whole alpha window, in class order, before the
-    first flat is counted.
+    first flat is counted, each distinct (kappa, n) where it first occurs.
     """
     q = sl.q
     c = [None, board_count_qp(board, budget)] + [constant(0)] * (q - 1)
-    fits = []
+    fits, gated = [], set()
     for cls in sl.iso_classes:
         rep = sl.flats[cls.representative]
         if not is_connected(rep):
@@ -102,11 +103,13 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
             raise RuntimeError("a connected class is uneven over piece subsets")
         period = flat_polytope_denominator(rep, board)
         for n in _window(rep, period):
-            check_size(board, n, budget, rep.kappa, "alpha")
+            if (rep.kappa, n) not in gated:
+                gated.add((rep.kappa, n))
+                check_size(board, n, budget, rep.kappa, "alpha")
         fits.append((rep, share, period))
     for rep, share, period in fits:
         c[rep.kappa] += (share * rep.mobius
-                         * alpha_qp(sl, rep, board, period, budget))
+                         * alpha_qp(sl, rep, board, period))
     a = [constant(1)]
     for m in range(1, q + 1):
         a_m = constant(0)
@@ -121,13 +124,13 @@ def reconstruction_quasipolynomials(
         budget: int = DEFAULT_BUDGET) -> tuple:
     """(labelled, unlabelled) counting quasipolynomials for the semilattice's piece.
 
-    The labelled one is a_q of ``labelled_count_qps``; it is checked
-    against the Ehrhart form (``quasipoly.check_ehrhart``) before
-    returning.
+    The labelled one is a_q of ``labelled_count_qps`` and the unlabelled
+    one is that divided by q!; the unlabelled one is checked against the
+    Ehrhart form (``quasipoly.check_ehrhart``) before returning.
     """
     total = labelled_count_qps(sl, board, budget)[sl.q]
-    check_ehrhart(total, sl.q, board.area, "labelled")
     unlabelled = total * Fraction(1, factorial(sl.q))
+    check_ehrhart(unlabelled, sl.q, board.area)
     return total, unlabelled
 
 
@@ -144,10 +147,11 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
     the quasipolynomial gives reciprocity values, not counts.
     """
     check_range(n_from, n_to)
-    labelled_qp, _ = reconstruction_quasipolynomials(sl, board, budget)
-    fq = factorial(sl.q)
+    labelled_qp, unlabelled_qp = reconstruction_quasipolynomials(
+        sl, board, budget)
     brute = count_series(sl.ms, board, sl.q, 0, cross_check_up_to, budget)
-    for n, (expected, _) in brute.rows.items():
+    for n in brute.ns():
+        expected, _ = brute.row(n)
         got = labelled_qp.evaluate(n)
         if got != expected:
             raise RiderPolyError(
@@ -155,10 +159,10 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
                 f"assembled {got}, brute force {expected}")
     rows = {}
     for n in range(n_from, n_to + 1):
-        value = labelled_qp.evaluate(n)
-        if value.denominator != 1 or int(value) % fq:
+        value = unlabelled_qp.evaluate(n)
+        if value.denominator != 1:
             raise RiderPolyError(
                 f"assembled labelled count at n={n} is not a multiple of q!")
-        rows[n] = (int(value), int(value) // fq)
+        rows[n] = int(value)
     return CountTable(piece=sl.ms.label, board=board, q=sl.q, rows=rows,
                       method=METHOD_RECONSTRUCTION)

@@ -207,7 +207,9 @@ def check_oracle_equivalence(suite: PaperSuite) -> list[CheckResult]:
     for name in ("queen", "bishop", "rook", "nightrider"):
         for q in (2, 3):
             sl = suite.semilattice(name, q)
-            for n, (lab, _) in suite.table(name, q, 8).rows.items():
+            table = suite.table(name, q, 8)
+            for n in table.ns():
+                lab, _ = table.row(n)
                 rec = reconstruct_count(sl, suite.board, n)
                 cells += 1
                 if rec != lab:

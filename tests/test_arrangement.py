@@ -437,18 +437,6 @@ class TestReconstruction:
         assert reconstruct_count(queen_sl2, square, 0) == 0
 
     @pytest.mark.parametrize("n", [20, -20])
-    def test_alpha_checks_budget_before_listing(self, queen_sl2, square, n,
-                                                no_cell_listing):
-        # 400 cells at n = 20, and as many in the closed 19-fold dilate.
-        flat = next(f for f in queen_sl2.flats if f.kappa == 2)
-        with pytest.raises(CapacityError) as exc:
-            alpha(queen_sl2, flat, square, n, budget=10**5)
-        assert exc.value.context == {"n": n, "envelope": 400**2,
-                                     "budget": 10**5}
-        assert str(exc.value) == (
-            f"alpha envelope 160000 exceeds budget 100000 at n={n}")
-
-    @pytest.mark.parametrize("n", [20, -20])
     def test_reconstruct_count_checks_every_kappa_before_listing(
             self, queen_sl3, square, n, no_cell_listing):
         # The kappa = 2 classes fit the budget and kappa = 3 does not:

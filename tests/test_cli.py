@@ -273,6 +273,19 @@ class TestFit:
         assert data["quasipolynomial"]["constituents"][0][4] == "1/2"
         assert data["label"] == "empirically verified on n in [1,20]"
 
+    def test_labelled_column_json(self, capsys):
+        # q! times the unlabelled fit: each constituent of the two
+        # nightriders' count, doubled.
+        code, out = run_cli(capsys, "fit", "--piece", "nightrider", "--q", "2",
+                            "--n", "1:20", "--column", "labelled",
+                            "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "fit_report.schema.json")
+        assert data["column"] == "labelled" and data["degree"] == 4
+        assert data["quasipolynomial"]["constituents"] == [
+            ["0", "-4/3", "3", "-5/3", "1"], ["0", "-7/3", "3", "-5/3", "1"]]
+
     def test_pretty_formula(self, capsys):
         code, out = run_cli(capsys, "fit", "--piece", "queen", "--q", "2",
                             "--n", "1:12")
@@ -332,6 +345,17 @@ class TestTypes:
         validate(data, "types_report.schema.json")
         assert data["types"]["unlabelled"] == "6"
         assert data["census"][0]["unlabelled_types"] == "6"
+
+    def test_column_is_refused(self, capsys):
+        # The type count is the same whichever column is fitted, so types
+        # has no --column.
+        with pytest.raises(SystemExit) as exc:
+            main(["types", "--piece", "queen", "--q", "3", "--n", "1:16",
+                  "--column", "labelled"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --column labelled" in captured.err
 
     def test_no_piece_report(self, capsys):
         code, out = run_cli(capsys, "types", "--piece", "queen", "--q", "0",

@@ -66,15 +66,15 @@ class TestCountNonattacking:
 class TestCountSeries:
     def test_two_queens_series(self, queen, square):
         table = count_series(queen, square, 2, 1, 6)
-        assert [table.unlabelled(n) for n in table.ns()] == [0, 0, 8, 44, 140, 340]
+        assert [table.rows[n] for n in table.ns()] == [0, 0, 8, 44, 140, 340]
 
     def test_two_bishops_series(self, bishop, square):
         table = count_series(bishop, square, 2, 1, 3)
-        assert [table.unlabelled(n) for n in table.ns()] == [0, 4, 26]
+        assert [table.rows[n] for n in table.ns()] == [0, 4, 26]
 
     def test_rook_q0(self, rook, square):
         table = count_series(rook, square, 0, 1, 5)
-        assert all(table.rows[n] == (1, 1) for n in table.ns())
+        assert all(table.row(n) == (1, 1) for n in table.ns())
 
     def test_capacity_error_carries_n(self, queen, square, monkeypatch,
                                       no_cell_listing):
@@ -126,7 +126,7 @@ class TestCountSeries:
     def test_non_nesting_board_matches_square(self, queen, square):
         # A translate of the square: the same rows, one run per size.
         table = count_series(queen, board_from_text(OFF_ORIGIN), 2, 1, 6)
-        assert [table.unlabelled(n) for n in table.ns()] == [0, 0, 8, 44, 140, 340]
+        assert [table.rows[n] for n in table.ns()] == [0, 0, 8, 44, 140, 340]
         assert table.rows == count_series(queen, square, 2, 1, 6).rows
 
     @pytest.mark.parametrize("board_text, n_from, runs, cells", [
@@ -163,8 +163,9 @@ class TestCountSeries:
         board = BoardPolygon(inequalities)
         n_to = n_from + length
         table = count_series(ms, board, q, n_from, n_to)
-        assert table.rows == {n: count_nonattacking(ms, board, q, n)
-                              for n in range(n_from, n_to + 1)}
+        assert ({n: table.row(n) for n in table.ns()}
+                == {n: count_nonattacking(ms, board, q, n)
+                    for n in range(n_from, n_to + 1)})
 
     def test_csv_format(self, rook, square):
         table = count_series(rook, square, 2, 2, 3)
@@ -178,9 +179,10 @@ class TestCountSeries:
         # u_R(2;3) = 3^2 * 2^2 / 2 = 18
         assert data["rows"][0]["unlabelled"] == "18"
 
-    def test_inconsistent_rows_rejected(self, square, rook):
-        with pytest.raises(ValueError):
-            CountTable(piece="rook", board=square, q=2, rows={1: (3, 2)})
+    def test_row_is_labelled_and_unlabelled(self, square):
+        # The table keeps the unlabelled count; the labelled one is q! times it.
+        table = CountTable(piece="rook", board=square, q=3, rows={4: 24})
+        assert table.row(4) == (144, 24)
 
 
 class TestLabelledTypes:

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from conftest import RANDOM_BOARDS, random_pieces
 from hypothesis import given, settings, strategies as st
 
 from riderpoly import quasipoly as qp
@@ -12,6 +14,12 @@ from riderpoly.errors import (
     PeriodNotFoundError,
     ValidationMismatchError,
 )
+from riderpoly.geometry import board_from_text
+
+
+def labelled(table):
+    """The labelled column of a count table: n -> q! * u(q; n)."""
+    return {n: table.row(n)[0] for n in table.ns()}
 
 
 @pytest.fixture(scope="module")
@@ -43,27 +51,64 @@ class TestFit:
     def test_round_trip_reproduces_every_row(self, two_nightriders):
         fitted = qp.fit(two_nightriders, 2)
         for n in two_nightriders.ns():
-            assert fitted.evaluate(n) == two_nightriders.unlabelled(n)
+            assert fitted.evaluate(n) == two_nightriders.rows[n]
 
     def test_wrong_period_raises_validation(self, two_nightriders):
         with pytest.raises(ValidationMismatchError) as exc:
-            qp.fit_values(two_nightriders.column("unlabelled"), 1, 4)
+            qp.fit_values(two_nightriders.rows, 1, 4)
         assert exc.value.residuals
 
     def test_insufficient_data(self, two_queens):
         with pytest.raises(InsufficientDataError):
-            qp.fit_values(two_queens.column("unlabelled"), 4, 4)
+            qp.fit_values(two_queens.rows, 4, 4)
 
     def test_labelled_column_leading_coefficient(self, two_queens):
-        fitted = qp.fit(two_queens, 1, column="labelled")
+        fitted = qp.fit_values(labelled(two_queens), 1, 4)
         assert fitted.constituents[0][4] == 1
+        assert fitted == 2 * qp.fit(two_queens, 1)
 
     def test_doubled_counts_fail_leading_check(self, two_queens):
         # Still a degree-4 quasipolynomial, but it leads with 1, not 1/2.
         doubled = CountTable(two_queens.piece, two_queens.board, 2, {
-            n: (2 * lab, 2 * unlab) for n, (lab, unlab) in two_queens.rows.items()})
+            n: 2 * unlab for n, unlab in two_queens.rows.items()})
         with pytest.raises(FitError, match="leads with 1, expected 1/2"):
             qp.fit(doubled, 1)
+
+
+def _fit_or_error(values, period, degree):
+    try:
+        return qp.fit_values(values, period, degree)
+    except FitError as exc:
+        return type(exc), str(exc)
+
+
+class TestLabelledColumn:
+    """Fitting is linear and exact, so the labelled count's quasipolynomial
+    is q! times the unlabelled one, and both columns fail alike."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(ms=random_pieces(), board_text=st.sampled_from(RANDOM_BOARDS),
+           q=st.integers(1, 3))
+    def test_q_factorial_times_the_unlabelled_fit(self, ms, board_text, q):
+        # 2q + 2 rows per residue at period 2: 2q + 1 nodes, one held out.
+        table = count_series(ms, board_from_text(board_text), q, 1, 4 * q + 4)
+        values, degree = labelled(table), 2 * q
+        fitting = []
+        for p in (1, 2, 3):
+            expected = _fit_or_error(table.rows, p, degree)
+            if isinstance(expected, qp.Quasipolynomial):
+                expected = factorial(q) * expected
+                fitting.append(p)
+            assert _fit_or_error(values, p, degree) == expected
+        try:
+            period = qp.detect_period(table, 3)
+        except PeriodNotFoundError:
+            period = None
+        # A search on the labelled column takes the same first period.
+        assert period == (fitting[0] if fitting else None)
+        if period is not None:
+            assert (factorial(q) * qp.fit(table, period)
+                    == qp.fit_values(values, period, degree))
 
 
 class TestDetectPeriod:
@@ -102,7 +147,7 @@ class TestEvaluate:
 
     def test_labelled_and_unlabelled_type_counts_agree(self, two_nightriders):
         unlab = qp.types_count(qp.fit(two_nightriders, 2))
-        lab = qp.types_count(qp.fit(two_nightriders, 2, column="labelled"))
+        lab = qp.types_count(qp.fit_values(labelled(two_nightriders), 2, 4))
         assert lab == 2 * unlab == 8
 
 

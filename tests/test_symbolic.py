@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import board_vertex_denominator
 
-from riderpoly import bounds, quasipoly as qp, symbolic
+from riderpoly import bounds, counting, quasipoly as qp, symbolic
 from riderpoly.arrangement import alpha, intersection_semilattice, w_equal_flat
 from riderpoly.counting import (
     METHOD_RECONSTRUCTION,
@@ -111,10 +111,11 @@ class TestReconstructionSeries:
         assert unlabelled.reduced().period == 2
         assert set(c[6] for c in unlabelled.constituents) == {F(1, 6)}
 
-    # A doubled assembly still has degree 4 but leads with 2 * area^2; a
-    # constant one has the wrong degree.  The Ehrhart check refuses both.
+    # A doubled assembly still has degree 4 but its unlabelled count leads
+    # with area^2, not area^2 / 2!; a constant one has the wrong degree.
+    # The Ehrhart check refuses both.
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda a: 2 * a, "leads with 2, expected 1"),
+        (lambda a: 2 * a, "leads with 1, expected 1/2"),
         (lambda a: qp.constant(1), "has degree 0, expected 4"),
     ], ids=["doubled", "constant"])
     def test_corrupted_assembly_fails_ehrhart_check(self, rook, square,
@@ -129,6 +130,22 @@ class TestReconstructionSeries:
         with pytest.raises(FitError, match=message):
             reconstruction_quasipolynomials(
                 intersection_semilattice(rook, 2), square)
+
+    def test_one_gate_per_size(self, queen, square, monkeypatch):
+        # The route gates each (route, kappa, n) it samples once: the cell
+        # count's fit, every alpha window and the brute-force cross-check.
+        calls = []
+        check = symbolic.check_size
+
+        def recorded(board, n, budget, q, route):
+            calls.append((route, q, n))
+            return check(board, n, budget, q, route)
+
+        monkeypatch.setattr(symbolic, "check_size", recorded)
+        monkeypatch.setattr(counting, "check_size", recorded)
+        reconstruction_series(intersection_semilattice(queen, 3), square, 1, 20)
+        assert len(calls) == len(set(calls))
+        assert {route for route, _, _ in calls} == {"count", "alpha"}
 
     def test_every_window_checked_before_listing(self, queen_sl3, square,
                                                  no_cell_listing):
