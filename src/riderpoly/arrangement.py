@@ -1,13 +1,15 @@
 """Move hyperplane arrangements and their intersection semilattices.
 
 For q pieces with move set M there is one hyperplane per (pair of pieces,
-move): the configurations where that pair lies on a common move line.
-Intersecting hyperplanes in all combinations yields the semilattice of
-flats; each flat carries its defining equations (canonical primitive
-integer row basis), its hyperplane mask, Mobius value, and slope graph.
-Relabelling the pieces (S_q) permutes the hyperplanes and the flats; the
-iso classes are the orbits, and each orbit's Mobius value, key and
-automorphism count are computed once.  The inclusion-exclusion sum of
+move), the tuple (i, j, move index): the configurations where that pair
+lies on a common move line.  Intersecting hyperplanes in all combinations
+yields the semilattice of flats; each flat carries its defining equations
+(canonical primitive integer row basis), its hyperplane mask, Mobius
+value, and slope graph, whose edges are its hyperplanes.  Relabelling the
+pieces (S_q) permutes the hyperplanes and the flats; the iso classes are
+the orbits, each orbit's Mobius value, key and automorphism count are
+computed once and set on its members, and a class is represented by its
+lowest-id member flat.  The inclusion-exclusion sum of
 Mobius-weighted lattice-point counts over all flats (counted in
 ``flatcount``) reconstructs the nonattacking count, independently of the
 brute-force enumerator.  A flat's count is defined at every integer n: at
@@ -24,47 +26,44 @@ from __future__ import annotations
 from itertools import combinations
 from math import perm
 
-from .errors import DEFAULT_BUDGET, CapacityError, Record
+from .errors import DEFAULT_BUDGET, CapacityError
 from .geometry import BoardPolygon, MoveSet
 from .linalg import insert_row
 
 
-class Hyperplane(Record, frozen=True):
-    """Pieces i < j lie on a common line of the move with this index; a frozen value."""
+def build_move_arrangement(ms: MoveSet, q: int) -> list[tuple[int, int, int]]:
+    """All C(q,2)*|M| move hyperplanes, pair-major in lexicographic order.
 
-    __slots__ = ("i", "j", "move_index")
-
-    def __init__(self, i: int, j: int, move_index: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "move_index", move_index)
-
-
-def build_move_arrangement(ms: MoveSet, q: int) -> list[Hyperplane]:
-    """All C(q,2)*|M| move hyperplanes, pair-major in lexicographic order."""
+    The hyperplane (i, j, r), i < j: pieces i and j share a line of move r.
+    """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    return [Hyperplane(i, j, r)
+    return [(i, j, r)
             for i, j in combinations(range(q), 2)
             for r in range(len(ms))]
 
 
-def hyperplane_row(h: Hyperplane, ms: MoveSet, q: int) -> tuple[int, ...]:
-    """Coefficients of (z_j - z_i) . (d, -c) = 0 in R^{2q}."""
-    m = ms.moves[h.move_index]
+def hyperplane_row(h: tuple, ms: MoveSet, q: int) -> tuple[int, ...]:
+    """Coefficients of (z_j - z_i) . (d, -c) = 0 in R^{2q}, h = (i, j, r)."""
+    i, j, r = h
+    m = ms.moves[r]
     row = [0] * (2 * q)
-    row[2 * h.i] = -m.d
-    row[2 * h.i + 1] = m.c
-    row[2 * h.j] = m.d
-    row[2 * h.j + 1] = -m.c
+    row[2 * i] = -m.d
+    row[2 * i + 1] = m.c
+    row[2 * j] = m.d
+    row[2 * j + 1] = -m.c
     return tuple(row)
 
 
 class Flat:
-    """An intersection subspace: equations, membership, slope graph."""
+    """An intersection subspace: equations, membership, slope graph.
 
-    __slots__ = ("id", "rows", "codim", "mask", "involved",
-                 "edges", "mobius", "iso_key", "aut_order", "iso_class")
+    ``_classify`` sets the orbit's Mobius value, key, |Aut|, class id and
+    member ids (``orbit``, in id order, one tuple shared by every member).
+    """
+
+    __slots__ = ("id", "rows", "codim", "mask", "involved", "edges",
+                 "mobius", "iso_key", "aut_order", "iso_class", "orbit")
 
     def __init__(self, fid, rows, mask, involved, edges):
         self.id = fid
@@ -72,11 +71,12 @@ class Flat:
         self.codim = len(rows)
         self.mask = mask                  # bitmask over hyperplane indices
         self.involved = involved          # tuple of involved piece indices
-        self.edges = edges                # tuple of (i, j, move_index)
+        self.edges = edges                # its hyperplanes (i, j, r)
         self.mobius = None
         self.iso_key = None
         self.aut_order = None
         self.iso_class = None
+        self.orbit = None
 
     @property
     def kappa(self) -> int:
@@ -87,33 +87,12 @@ class Flat:
                 f"mobius={self.mobius})")
 
 
-class IsoClass(Record, frozen=True):
-    """Flats sharing a slope graph up to label-preserving isomorphism; a frozen value."""
-
-    __slots__ = ("id", "key", "kappa", "codim", "mobius", "aut_order",
-                 "representative", "members")
-
-    def __init__(self, id: int, key: tuple, kappa: int, codim: int,
-                 mobius: int, aut_order: int, representative: int,
-                 members: tuple[int, ...]):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "mobius", mobius)
-        object.__setattr__(self, "aut_order", aut_order)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "members", members)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 class Semilattice:
     """The intersection semilattice of a move arrangement.
 
-    Flat 0 is the bottom element (all of R^{2q}).  The structure is
+    Flat 0 is the bottom element (all of R^{2q}).  An iso class is its
+    representative flat, the lowest-id member of its orbit;
+    ``iso_classes`` lists them in class order.  The structure is
     immutable once built.
     """
 
@@ -121,15 +100,11 @@ class Semilattice:
         self.ms = ms
         self.q = q
         self.hyperplanes = hyperplanes
-        self.hyperplane_ids = {(a, b, h.move_index): hid   # either order
-                               for hid, h in enumerate(hyperplanes)
-                               for a, b in ((h.i, h.j), (h.j, h.i))}
+        self.hyperplane_ids = {(a, b, r): hid   # either order
+                               for hid, (i, j, r) in enumerate(hyperplanes)
+                               for a, b in ((i, j), (j, i))}
         self.flats = flats
-        self.iso_classes: list[IsoClass] = []
-
-    @property
-    def bottom(self) -> Flat:
-        return self.flats[0]
+        self.iso_classes: list[Flat] = []
 
     def flat_of_hyperplanes(self, hyperplane_ids) -> Flat:
         """The intersection of the given hyperplanes: the first flat, in
@@ -199,8 +174,7 @@ def intersection_semilattice(ms: MoveSet, q: int,
     flats = []
     for fid, rows in enumerate(ordered):
         mask = masks[by_key[rows]]
-        edges = tuple((h.i, h.j, h.move_index)
-                      for hid, h in enumerate(hyps) if mask >> hid & 1)
+        edges = tuple(h for hid, h in enumerate(hyps) if mask >> hid & 1)
         involved = sorted({c // 2 for row in rows
                            for c, x in enumerate(row) if x != 0})
         flats.append(Flat(fid, rows, mask, tuple(involved), edges))
@@ -230,7 +204,8 @@ def _classify(sl: Semilattice) -> None:
                 if image not in orbit:
                     orbit.add(image)
                     todo.append(sl.flats[image])
-        members = [sl.flats[fid] for fid in sorted(orbit)]
+        orbit = tuple(sorted(orbit))
+        members = [sl.flats[fid] for fid in orbit]
         # mu(V) over the flats V containing U sums to [U is the bottom]; each
         # V but U comes before U, and only such flats have masks within U's.
         mobius = (flat.codim == 0) - sum(v.mobius for v in sl.flats[:flat.id]
@@ -242,15 +217,12 @@ def _classify(sl: Semilattice) -> None:
                   for i, j, r in f.edges) for f in members))
         aut = perm(sl.q, flat.kappa) // len(members)
         for f in members:
-            f.mobius, f.iso_key, f.aut_order = mobius, key, aut
+            f.mobius, f.iso_key, f.aut_order, f.orbit = mobius, key, aut, orbit
         orbits.append((key, members))
 
     # One orbit per key, so sorting never compares two orbits' members.
     for cid, (key, members) in enumerate(sorted(orbits)):
-        rep = members[0]
-        sl.iso_classes.append(IsoClass(
-            cid, key, rep.kappa, rep.codim, rep.mobius, rep.aut_order,
-            rep.id, tuple(f.id for f in members)))
+        sl.iso_classes.append(members[0])
         for f in members:
             f.iso_class = cid
 
@@ -302,15 +274,15 @@ def semilattice_report(sl: Semilattice) -> dict:
         ],
         "iso_classes": [
             {
-                "id": c.id,
-                "size": c.size,
-                "kappa": c.kappa,
-                "codim": c.codim,
-                "mobius": c.mobius,
-                "aut": c.aut_order,
-                "representative": c.representative,
+                "id": rep.iso_class,
+                "size": len(rep.orbit),
+                "kappa": rep.kappa,
+                "codim": rep.codim,
+                "mobius": rep.mobius,
+                "aut": rep.aut_order,
+                "representative": rep.id,
             }
-            for c in sl.iso_classes
+            for rep in sl.iso_classes
         ],
     }
 
@@ -347,12 +319,11 @@ def reconstruct_count(sl: Semilattice, board: BoardPolygon, n: int,
     Each kappa is gated before any flat is counted; kappa 0 gives N.
     """
     from .counting import check_size
-    for kappa in sorted({cls.kappa for cls in sl.iso_classes}):
+    for kappa in sorted({rep.kappa for rep in sl.iso_classes}):
         npts = check_size(board, n, budget, kappa, "alpha")
     total = 0
-    for cls in sl.iso_classes:
-        rep = sl.flats[cls.representative]
-        total += (cls.size * cls.mobius
+    for rep in sl.iso_classes:
+        total += (len(rep.orbit) * rep.mobius
                   * alpha(sl, rep, board, n)
-                  * npts ** (sl.q - cls.kappa))
+                  * npts ** (sl.q - rep.kappa))
     return total

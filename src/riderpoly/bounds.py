@@ -167,13 +167,11 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
             systems=systems, budget=budget)
     sl = intersection_semilattice(ms, q)
     return lcm(board.denominator, *[
-        flat_polytope_denominator(sl.flats[cls.representative], board)
-        for cls in sl.iso_classes])
+        flat_polytope_denominator(rep, board) for rep in sl.iso_classes])
 
 
-def lcmd_direct(matrix, order: int | None = None,
-                budget: int = DEFAULT_MINOR_BUDGET) -> int:
-    """lcm of |m| over all nonzero minors m of orders 1..order.
+def lcmd_direct(matrix, budget: int = DEFAULT_MINOR_BUDGET) -> int:
+    """lcm of |m| over all nonzero minors m of the matrix, of every order.
 
     Row sets are built by putting a smaller row on top of one already
     done, so each is expanded once.  A row set R keeps its nonzero minors
@@ -182,12 +180,12 @@ def lcmd_direct(matrix, order: int | None = None,
     (-1)^#(C below c) goes to C | {c}.  Entries summing to zero are
     dropped, and an empty dict prunes the branch: every larger row set
     with R as its lower rows has only zero minors.  The budget counts
-    every minor of orders 1..order and is checked first.
+    every minor and is checked first.
     """
     rows = [tuple(row) for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    max_order = min(nrows, ncols) if order is None else min(order, nrows, ncols)
+    max_order = min(nrows, ncols)
     total = sum(comb(nrows, s) * comb(ncols, s) for s in range(1, max_order + 1))
     if total > budget:
         raise CapacityError(f"{total} minors exceed budget {budget}",

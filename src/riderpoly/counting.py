@@ -11,7 +11,6 @@ returns a partial answer (resource caps raise ``CapacityError``).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -161,9 +160,6 @@ class CountTable(Record):
                 for n in self.ns()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def count_series(ms: MoveSet, board: BoardPolygon, q: int,

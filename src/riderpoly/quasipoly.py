@@ -12,7 +12,6 @@ in this module.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -120,8 +119,6 @@ class Quasipolynomial(Record, frozen=True):
         parts = [poly_add(a, b) for a, b in zip(mine, theirs)]
         return _build(p, parts)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = _coerce(other)
         p, mine, theirs = self._aligned(other)
@@ -129,12 +126,6 @@ class Quasipolynomial(Record, frozen=True):
         return _build(p, parts)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        result = constant(1)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def reduced(self) -> "Quasipolynomial":
         """Smallest period dividing the stored one with identical behavior."""
@@ -151,15 +142,6 @@ class Quasipolynomial(Record, frozen=True):
             "constituents": [[str(c) for c in cons]
                              for cons in self.constituents],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-
-def from_json_dict(data: dict) -> Quasipolynomial:
-    cons = tuple(tuple(Fraction(c) for c in row) for row in data["constituents"])
-    return Quasipolynomial(degree=data["degree"], period=data["period"],
-                           constituents=cons)
 
 
 def _coerce(value) -> Quasipolynomial:

@@ -94,11 +94,10 @@ def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
     q = sl.q
     c = [None, board_count_qp(board, budget)] + [constant(0)] * (q - 1)
     fits, gated = [], set()
-    for cls in sl.iso_classes:
-        rep = sl.flats[cls.representative]
+    for rep in sl.iso_classes:
         if not is_connected(rep):
             continue
-        share, rest = divmod(cls.size, comb(q, cls.kappa))
+        share, rest = divmod(len(rep.orbit), comb(q, rep.kappa))
         if rest:
             raise RuntimeError("a connected class is uneven over piece subsets")
         period = flat_polytope_denominator(rep, board)

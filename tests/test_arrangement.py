@@ -1,6 +1,5 @@
-from fractions import Fraction
-from itertools import combinations, permutations
-from math import comb, factorial
+from itertools import permutations
+from math import comb, factorial, perm
 from random import Random
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from riderpoly.arrangement import (
     Flat,
-    IsoClass,
     Semilattice,
     alpha,
     build_move_arrangement,
@@ -70,6 +68,7 @@ class TestArrangement:
 
     def test_row_encodes_difference_normal(self, queen):
         hyp = build_move_arrangement(queen, 2)[1]  # move (1,1): perp (1,-1)
+        assert hyp == (0, 1, 1)
         assert hyperplane_row(hyp, queen, 2) == (-1, 1, 1, -1)
 
 
@@ -106,9 +105,9 @@ class TestSemilattice:
                         if v.mask & u.mask == v.mask)
             assert total == 0, u
 
-    def test_mobius_accessor(self, queen_sl2):
-        assert queen_sl2.bottom is queen_sl2.flats[0]
-        assert queen_sl2.bottom.mobius == 1
+    def test_bottom_is_flat_zero(self, queen_sl2):
+        bottom = queen_sl2.flats[0]
+        assert bottom.codim == 0 and bottom.mask == 0 and bottom.mobius == 1
 
     def test_flat_codim_bounds(self, queen_sl3, bishop_sl4):
         for sl in (queen_sl3, bishop_sl4):
@@ -153,8 +152,7 @@ def reference_semilattice(ms, q):
                            for c, x in enumerate(row) if x != 0})
         flats.append(Flat(fid, rows, sum(1 << hid for hid in members),
                           tuple(involved),
-                          tuple((hyps[h].i, hyps[h].j, hyps[h].move_index)
-                                for h in members)))
+                          tuple(hyps[h] for h in members)))
     for u in flats:
         # mu(bottom, U) = -(sum of mu over the flats strictly containing U);
         # V contains U exactly when V's hyperplanes are among U's.
@@ -174,23 +172,28 @@ def reference_semilattice(ms, q):
         members.setdefault(u.iso_key, []).append(u.id)
     sl = Semilattice(ms, q, hyps, flats)
     for cid, key in enumerate(sorted(members)):
-        rep = flats[members[key][0]]
-        sl.iso_classes.append(IsoClass(cid, key, rep.kappa, rep.codim,
-                                       rep.mobius, rep.aut_order, rep.id,
-                                       tuple(members[key])))
+        sl.iso_classes.append(flats[members[key][0]])
         for fid in members[key]:
             flats[fid].iso_class = cid
+            flats[fid].orbit = tuple(members[key])
     return sl
+
+
+def iso_class_rows(sl):
+    """Each class as (key, kappa, codim, mobius, |Aut|, representative id,
+    member ids), read from its representative flat."""
+    return [(rep.iso_key, rep.kappa, rep.codim, rep.mobius, rep.aut_order,
+             rep.id, rep.orbit) for rep in sl.iso_classes]
 
 
 def assert_same_semilattice(sl, ref):
     fields = ("rows", "mask", "involved", "edges", "mobius",
-              "iso_key", "aut_order", "iso_class")
+              "iso_key", "aut_order", "iso_class", "orbit")
     assert len(sl.flats) == len(ref.flats)
     for flat, expected in zip(sl.flats, ref.flats):
         assert ([getattr(flat, f) for f in fields]
                 == [getattr(expected, f) for f in fields]), flat
-    assert sl.iso_classes == ref.iso_classes
+    assert iso_class_rows(sl) == iso_class_rows(ref)
 
 
 def assert_flat_lookup(sl, subsets=300):
@@ -277,8 +280,8 @@ def split_components(sl, flat):
                 stack.extend(neighbors[v] - comp)
         seen |= comp
         parts.append(sl.flat_of_hyperplanes(
-            [hid for hid, h in enumerate(sl.hyperplanes)
-             if flat.mask >> hid & 1 and h.i in comp]))
+            [hid for hid, (i, _, _) in enumerate(sl.hyperplanes)
+             if flat.mask >> hid & 1 and i in comp]))
     return parts
 
 
@@ -305,8 +308,8 @@ class TestComponents:
         assert is_connected(weq)
 
     def test_bottom_is_not_connected(self, queen_sl3):
-        assert split_components(queen_sl3, queen_sl3.bottom) == []
-        assert not is_connected(queen_sl3.bottom)
+        assert split_components(queen_sl3, queen_sl3.flats[0]) == []
+        assert not is_connected(queen_sl3.flats[0])
 
     @pytest.mark.parametrize("fixture", ["queen_sl4", "bishop_sl4"])
     def test_predicate_matches_splitter(self, fixture, request):
@@ -340,15 +343,29 @@ class TestIsoClasses:
 
     def test_queen_q3_equal_pair_class(self, queen_sl3):
         weq = w_equal_flat(queen_sl3, [0, 1])
-        cls = queen_sl3.iso_classes[weq.iso_class]
-        assert cls.size == 3 == comb(3, 2) * factorial(2) // 2
+        rep = queen_sl3.iso_classes[weq.iso_class]
+        assert rep.orbit is weq.orbit
+        assert len(rep.orbit) == 3 == comb(3, 2) * factorial(2) // 2
 
     def test_class_size_identity(self, queen_sl3, queen_sl4, bishop_sl4):
         for sl in (queen_sl3, queen_sl4, bishop_sl4):
-            for cls in sl.iso_classes:
-                expected = (comb(sl.q, cls.kappa) * factorial(cls.kappa)
-                            // cls.aut_order)
-                assert cls.size == expected, cls
+            for rep in sl.iso_classes:
+                expected = (comb(sl.q, rep.kappa) * factorial(rep.kappa)
+                            // rep.aut_order)
+                assert len(rep.orbit) == expected, rep
+
+    @pytest.mark.parametrize("fixture", ["queen_sl3", "queen_sl4",
+                                         "bishop_sl4"])
+    def test_members_share_one_orbit(self, fixture, request):
+        sl = request.getfixturevalue(fixture)
+        for flat in sl.flats:
+            members = [sl.flats[fid] for fid in flat.orbit]
+            assert all(m.orbit is flat.orbit for m in members), flat
+            assert flat.id in flat.orbit
+            assert list(flat.orbit) == sorted(flat.orbit)
+            assert sl.iso_classes[flat.iso_class].id == flat.orbit[0]
+            assert (len(flat.orbit) * flat.aut_order
+                    == perm(sl.q, flat.kappa)), flat
 
     def test_similar_and_dissimilar_subspaces(self, queen_sl3):
         sl = queen_sl3
@@ -541,27 +558,25 @@ class TestAlphaParity:
         ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
         board = board_from_text(board_text)
         sl = intersection_semilattice(ms, q)
-        for cls in sl.iso_classes:
-            flat = sl.flats[cls.representative]
+        for flat in sl.iso_classes:
             for n in range(0, 4):
                 points = interior_lattice_points(board, n + 1)
                 assert (alpha(sl, flat, board, n)
-                        == alpha_by_cells(ms, flat, points)), (cls.id, n)
+                        == alpha_by_cells(ms, flat, points)), (flat.id, n)
             # Ehrhart-Macdonald reciprocity: alpha(-m) is the signed count
             # in the closed (m-1)-fold dilate.
             for m in range(1, 4):
                 points = cells_at(board, -m)
                 assert (alpha(sl, flat, board, -m)
                         == (-1) ** flat.codim
-                        * alpha_by_cells(ms, flat, points)), (cls.id, -m)
+                        * alpha_by_cells(ms, flat, points)), (flat.id, -m)
 
     def test_closed_form_cycles(self, queen, queen_sl4, square):
         # Queen q=4 flats whose slope graph is a 4-cycle of groups are the
         # ones the last-two-groups closed form counts.
         sl = queen_sl4
-        cycles = [sl.flats[c.representative] for c in sl.iso_classes
-                  if c.kappa == 4 and c.codim == 4
-                  and is_connected(sl.flats[c.representative])]
+        cycles = [rep for rep in sl.iso_classes
+                  if rep.kappa == 4 and rep.codim == 4 and is_connected(rep)]
         assert cycles
         for flat in cycles:
             for n in (3, 5):

@@ -234,10 +234,9 @@ def test_flat_denominator_matches_scan_in_all_coordinates(board_text, moves,
     board = board_from_text(board_text)
     ms = piece_from_text(";".join(f"{c},{d}" for c, d in moves))
     sl = intersection_semilattice(ms, q)
-    for cls in sl.iso_classes:
-        flat = sl.flats[cls.representative]
+    for flat in sl.iso_classes:
         assert bounds.flat_polytope_denominator(flat, board) == \
-            _exhaustive_flat_denominator(flat, board), cls
+            _exhaustive_flat_denominator(flat, board), flat
 
 
 def _exhaustive_flat_denominator(flat, board):
@@ -260,24 +259,22 @@ def test_pruned_flat_denominator_matches_exhaustive_at_q4(name, square,
         return solve(*args)
 
     sl = intersection_semilattice(piece_from_text(name), 4)
-    for cls in sl.iso_classes:
-        flat = sl.flats[cls.representative]
+    for flat in sl.iso_classes:
         expected = _exhaustive_flat_denominator(flat, square)
         with monkeypatch.context() as patched:
             patched.setattr(bounds, "_solve", counted)
             assert bounds.flat_polytope_denominator(flat, square) == \
-                expected, cls
+                expected, flat
     if name == "rook":
         assert not solved  # unimodular flats: every set is skipped
 
 
-def lcmd_by_minors(matrix, order=None) -> int:
-    """Reference lcmd: one Bareiss determinant per minor of orders 1..order."""
+def lcmd_by_minors(matrix) -> int:
+    """Reference lcmd: one Bareiss determinant per minor of every order."""
     rows = [tuple(row) for row in matrix]
     ncols = len(rows[0]) if rows else 0
-    top = min(len(rows), ncols) if order is None else min(order, len(rows), ncols)
     result = 1
-    for size in range(1, top + 1):
+    for size in range(1, min(len(rows), ncols) + 1):
         for rsel in combinations(range(len(rows)), size):
             for csel in combinations(range(ncols), size):
                 det = bareiss_determinant([[rows[r][c] for c in csel]
@@ -293,20 +290,19 @@ SPARSE_MATRICES = st.integers(1, 6).flatmap(
         st.lists(st.one_of(st.just(0), st.integers(-6, 6)),
                  min_size=ncols, max_size=ncols),
         min_size=1, max_size=6))
-ORDERS = st.sampled_from((None, 1, 2, 3))
 
 
 class TestLcmd:
     @settings(max_examples=200, deadline=None)
-    @given(matrix=SPARSE_MATRICES, order=ORDERS)
-    def test_expansion_matches_minors(self, matrix, order):
-        assert bounds.lcmd_direct(matrix, order) == lcmd_by_minors(matrix, order)
+    @given(matrix=SPARSE_MATRICES)
+    def test_expansion_matches_minors(self, matrix):
+        assert bounds.lcmd_direct(matrix) == lcmd_by_minors(matrix)
 
     @settings(max_examples=30, deadline=None)
-    @given(ms=random_pieces(), q=st.sampled_from((2, 3)), order=ORDERS)
-    def test_attack_rows_match_minors(self, ms, q, order):
+    @given(ms=random_pieces(), q=st.sampled_from((2, 3)))
+    def test_attack_rows_match_minors(self, ms, q):
         rows = bounds.attack_rows(ms, q)
-        assert bounds.lcmd_direct(rows, order) == lcmd_by_minors(rows, order)
+        assert bounds.lcmd_direct(rows) == lcmd_by_minors(rows)
 
     def test_no_nonzero_minor_gives_one(self):
         assert bounds.lcmd_direct([]) == 1
@@ -326,11 +322,6 @@ class TestLcmd:
     def test_budget_abort(self, nightrider):
         with pytest.raises(CapacityError):
             bounds.lcmd_direct(bounds.attack_rows(nightrider, 4))
-
-    def test_order_cap(self):
-        matrix = [(2, 0), (0, 3)]
-        assert bounds.lcmd_direct(matrix, order=1) == 6
-        assert bounds.lcmd_direct(matrix, order=2) == 6
 
 
 class TestClosedForm:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -175,7 +174,7 @@ class TestCountSeries:
 
     def test_json_big_integers_as_strings(self, rook, square):
         table = count_series(rook, square, 2, 3, 3)
-        data = json.loads(table.to_json())
+        data = table.to_json_dict()
         # u_R(2;3) = 3^2 * 2^2 / 2 = 18
         assert data["rows"][0]["unlabelled"] == "18"
 

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction as F
 from math import factorial
 
@@ -171,10 +170,9 @@ class TestCoefficient:
 class TestSerialization:
     def test_schema_fields(self, two_nightriders):
         fitted = qp.fit(two_nightriders, 2)
-        data = json.loads(fitted.to_json())
+        data = fitted.to_json_dict()
         assert data["degree"] == 4 and data["period"] == 2
         assert data["constituents"][0][4] == "1/2"
-        assert qp.from_json_dict(data) == fitted
 
     def test_pretty_period_two(self, two_nightriders):
         fitted = qp.fit(two_nightriders, 2)
@@ -202,12 +200,6 @@ class TestAlgebra:
         prod = alt * lin
         for n in range(-4, 5):
             assert prod.evaluate(n) == (1 if n % 2 == 0 else -1) * n
-
-    def test_power(self):
-        lin = qp.from_polynomial([1, 1])
-        cube = lin ** 3
-        for n in range(-3, 4):
-            assert cube.evaluate(n) == (n + 1) ** 3
 
     def test_reduced_collapses_fake_period(self):
         fake = qp.Quasipolynomial(1, 2, ((F(0), F(1)), (F(0), F(1))))

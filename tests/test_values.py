@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from riderpoly.arrangement import Hyperplane, IsoClass
 from riderpoly.counting import ConfigType, CountTable
 from riderpoly.errors import MoveSetError
 from riderpoly.geometry import BoardPolygon, Configuration, Move, MoveSet
@@ -33,12 +32,6 @@ CASES = {
                  "CountTable(piece='queen', board=BoardPolygon('square'), q=2, "
                  "rows={3: 8}, method='reconstruction')"),
     ConfigType: ({"left": ((2,), (0,))}, "ConfigType(left=((2,), (0,)))"),
-    Hyperplane: ({"i": 0, "j": 2, "move_index": 1},
-                 "Hyperplane(i=0, j=2, move_index=1)"),
-    IsoClass: ({"id": 3, "key": (1, 2), "kappa": 2, "codim": 1, "mobius": -1,
-                "aut_order": 2, "representative": 5, "members": (5, 6)},
-               "IsoClass(id=3, key=(1, 2), kappa=2, codim=1, mobius=-1, "
-               "aut_order=2, representative=5, members=(5, 6))"),
     Quasipolynomial: ({"degree": 1, "period": 2, "constituents": (HALF, HALF)},
                       "Quasipolynomial(degree=1, period=2, constituents="
                       "((Fraction(0, 1), Fraction(1, 2)), "
@@ -50,8 +43,7 @@ CASES = {
     PaperSuite: ({"board": SQUARE, "_cache": {"k": 1}},
                  "PaperSuite(board=BoardPolygon('square'), _cache={'k': 1})"),
 }
-FROZEN = [Move, MoveSet, Configuration, ConfigType, Hyperplane, IsoClass,
-          Quasipolynomial]
+FROZEN = [Move, MoveSet, Configuration, ConfigType, Quasipolynomial]
 MUTABLE = [CountTable, CheckResult, PaperSuite]
 ALL = FROZEN + MUTABLE
 
