@@ -66,6 +66,22 @@ class TestArrangement:
             assert (len(build_move_arrangement(nightrider, q))
                     == comb(q, 2) * len(nightrider))
 
+    @pytest.mark.parametrize("name, q", [("queen", 3), ("bishop", 4),
+                                         ("nightrider", 3)])
+    def test_hyperplanes_are_pair_major_tuples(self, name, q):
+        ms = piece_from_text(name)
+        hyps = build_move_arrangement(ms, q)
+        assert hyps == [(i, j, r) for i in range(q) for j in range(i + 1, q)
+                        for r in range(len(ms))]
+        assert all(type(h) is tuple for h in hyps)
+        # Distinct hyperplanes: no two rows span the same line.
+        assert len({canonical_int_rows([hyperplane_row(h, ms, q)])
+                    for h in hyps}) == len(hyps)
+        sl = intersection_semilattice(ms, q)
+        assert sl.hyperplanes == hyps
+        for hid, h in enumerate(hyps):
+            assert sl.hyperplane_index(*h) == hid
+
     def test_row_encodes_difference_normal(self, queen):
         hyp = build_move_arrangement(queen, 2)[1]  # move (1,1): perp (1,-1)
         assert hyp == (0, 1, 1)
@@ -108,6 +124,18 @@ class TestSemilattice:
     def test_bottom_is_flat_zero(self, queen_sl2):
         bottom = queen_sl2.flats[0]
         assert bottom.codim == 0 and bottom.mask == 0 and bottom.mobius == 1
+
+    @pytest.mark.parametrize("fixture", ["queen_sl3", "queen_sl4",
+                                         "bishop_sl4"])
+    def test_flat_edges_are_its_masked_hyperplanes(self, fixture, request):
+        sl = request.getfixturevalue(fixture)
+        for flat in sl.flats:
+            assert flat.edges == tuple(
+                h for hid, h in enumerate(sl.hyperplanes)
+                if flat.mask >> hid & 1), flat
+            # Every involved piece is an endpoint of some edge, and back.
+            assert set(flat.involved) == {
+                p for i, j, _ in flat.edges for p in (i, j)}, flat
 
     def test_flat_codim_bounds(self, queen_sl3, bishop_sl4):
         for sl in (queen_sl3, bishop_sl4):
@@ -366,6 +394,18 @@ class TestIsoClasses:
             assert sl.iso_classes[flat.iso_class].id == flat.orbit[0]
             assert (len(flat.orbit) * flat.aut_order
                     == perm(sl.q, flat.kappa)), flat
+
+    @pytest.mark.parametrize("fixture", ["queen_sl3", "queen_sl4",
+                                         "bishop_sl4"])
+    def test_orbits_partition_flats_in_class_order(self, fixture, request):
+        sl = request.getfixturevalue(fixture)
+        reps = sl.iso_classes
+        assert [rep.iso_class for rep in reps] == list(range(len(reps)))
+        assert all(rep.id == rep.orbit[0] for rep in reps)
+        keys = [rep.iso_key for rep in reps]
+        assert keys == sorted(set(keys))
+        members = sorted(fid for rep in reps for fid in rep.orbit)
+        assert members == list(range(len(sl.flats)))
 
     def test_similar_and_dissimilar_subspaces(self, queen_sl3):
         sl = queen_sl3

@@ -308,6 +308,11 @@ class TestLcmd:
         assert bounds.lcmd_direct([]) == 1
         assert bounds.lcmd_direct([(0, 0, 0)] * 4) == 1
 
+    def test_diagonal_matrix_takes_every_order(self):
+        assert bounds.lcmd_direct([(2, 0), (0, 3)]) == 6
+        # Order-1 minors alone give lcm(2, 4) = 4; the determinant is 8.
+        assert bounds.lcmd_direct([(2, 0), (0, 4)]) == 8
+
     def test_move_matrix_nightrider(self, nightrider):
         assert bounds.lcmd_direct(bounds.moves_matrix(nightrider)) == 60
 

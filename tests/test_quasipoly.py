@@ -201,6 +201,13 @@ class TestAlgebra:
         for n in range(-4, 5):
             assert prod.evaluate(n) == (1 if n % 2 == 0 else -1) * n
 
+    def test_repeated_product(self):
+        lin = qp.from_polynomial([1, 1])
+        cube = lin * lin * lin
+        assert cube.degree == 3
+        for n in range(-3, 4):
+            assert cube.evaluate(n) == (n + 1) ** 3
+
     def test_reduced_collapses_fake_period(self):
         fake = qp.Quasipolynomial(1, 2, ((F(0), F(1)), (F(0), F(1))))
         assert fake.reduced().period == 1
