@@ -135,7 +135,7 @@ def _fit_table(args, table):
 
 
 def cmd_fit(args) -> int:
-    from .quasipoly import pretty
+    from .quasipoly import fit_values, pretty
     from .counting import count_series
     ms = piece_from_text(args.piece)
     board = board_from_text(args.board)
@@ -144,7 +144,8 @@ def cmd_fit(args) -> int:
                          budget=args.budget)
     fitted, period = _fit_table(args, table)
     if args.column == "labelled":
-        fitted = factorial(args.q) * fitted
+        fitted = fit_values({n: table.row(n)[0] for n in table.ns()},
+                            period, fitted.degree)
     label = f"empirically verified on n in [{n_from},{n_to}]"
     data = {
         "piece": ms.label,

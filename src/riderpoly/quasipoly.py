@@ -3,11 +3,14 @@
 A quasipolynomial of period p is p polynomials, one per residue of n
 mod p; fitting interpolates each residue class exactly and then
 *validates* on held-out rows, so a successful fit is a falsifiable
-statement about the table, never just a curve through points.  The
-interpolation solves the Vandermonde system by fraction-free integer
-elimination (``linalg.insert_row``); ``Fraction`` appears only in the
-final coefficients.  All arithmetic is exact; there is no floating point
-in this module.
+statement about the values, never just a curve through points.  Every
+quasipolynomial riderpoly makes is such a fit: of a count table, of a
+flat's lattice counts, or of the counts the Mobius assembly computes at
+each size (``symbolic.count_qps``); there is no quasipolynomial
+arithmetic.  The interpolation solves the Vandermonde system by
+fraction-free integer elimination (``linalg.insert_row``); ``Fraction``
+appears only in the final coefficients.  All arithmetic is exact; there
+is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -34,21 +37,6 @@ def poly_eval(coeffs, x):
     for c in reversed(coeffs):
         total = total * x + c
     return total
-
-
-def poly_add(a, b):
-    size = max(len(a), len(b))
-    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(size))
-
-
-def poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _interpolate_scaled(points) -> tuple[list[int], int]:
@@ -85,7 +73,7 @@ class Quasipolynomial(Record, frozen=True):
 
     Constituents are stored in residue order with ascending-power exact
     rational coefficients, all padded to the common degree.  A frozen
-    value, built for every fit and every step of the assembly.
+    value: the result of a fit (``fit_values``) or its ``reduced`` form.
     """
 
     __slots__ = ("degree", "period", "constituents")
@@ -105,35 +93,12 @@ class Quasipolynomial(Record, frozen=True):
         """f(n) for any integer n; n = -1 uses the last constituent."""
         return poly_eval(self.constituents[n % self.period], n)
 
-    # -- exact algebra -------------------------------------------------
-
-    def _aligned(self, other):
-        p = lcm(self.period, other.period)
-        mine = [self.constituents[k % self.period] for k in range(p)]
-        theirs = [other.constituents[k % other.period] for k in range(p)]
-        return p, mine, theirs
-
-    def __add__(self, other):
-        other = _coerce(other)
-        p, mine, theirs = self._aligned(other)
-        parts = [poly_add(a, b) for a, b in zip(mine, theirs)]
-        return _build(p, parts)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        p, mine, theirs = self._aligned(other)
-        parts = [poly_mul(a, b) for a, b in zip(mine, theirs)]
-        return _build(p, parts)
-
-    __rmul__ = __mul__
-
     def reduced(self) -> "Quasipolynomial":
         """Smallest period dividing the stored one with identical behavior."""
-        for p in divisors(self.period):
-            if all(self.constituents[k] == self.constituents[k % p]
-                   for k in range(self.period)):
-                return _build(p, [self.constituents[k] for k in range(p)])
-        return self
+        p = next(p for p in divisors(self.period)
+                 if all(self.constituents[k] == self.constituents[k % p]
+                        for k in range(self.period)))
+        return Quasipolynomial(self.degree, p, self.constituents[:p])
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,32 +107,6 @@ class Quasipolynomial(Record, frozen=True):
             "constituents": [[str(c) for c in cons]
                              for cons in self.constituents],
         }
-
-
-def _coerce(value) -> Quasipolynomial:
-    if isinstance(value, Quasipolynomial):
-        return value
-    return constant(value)
-
-
-def _build(period: int, parts) -> Quasipolynomial:
-    degree = 0
-    for part in parts:
-        nonzero = [i for i, c in enumerate(part) if c != 0]
-        degree = max(degree, nonzero[-1] if nonzero else 0)
-    padded = tuple(
-        tuple(Fraction(part[i]) if i < len(part) else Fraction(0)
-              for i in range(degree + 1))
-        for part in parts)
-    return Quasipolynomial(degree=degree, period=period, constituents=padded)
-
-
-def constant(c) -> Quasipolynomial:
-    return Quasipolynomial(0, 1, ((Fraction(c),),))
-
-
-def from_polynomial(coeffs) -> Quasipolynomial:
-    return _build(1, [tuple(Fraction(c) for c in coeffs)])
 
 
 def fit_values(values, period: int, degree: int) -> Quasipolynomial:
@@ -275,25 +214,25 @@ def types_count(qp: Quasipolynomial) -> int:
     return int(value)
 
 
-def pretty(qp: Quasipolynomial, var: str = "n") -> str:
+def pretty(qp: Quasipolynomial) -> str:
     """Human-readable form; period 2 renders as {average} + (-1)^n (half-difference)."""
     if qp.period == 1:
-        return _poly_str(qp.constituents[0], var)
+        return _poly_str(qp.constituents[0])
     if qp.period == 2:
         even, odd = qp.constituents
         avg = tuple((a + b) / 2 for a, b in zip(even, odd))
         alt = tuple((a - b) / 2 for a, b in zip(even, odd))
-        out = "{" + _poly_str(avg, var) + "}"
+        out = "{" + _poly_str(avg) + "}"
         if any(alt):
-            out += f" + (-1)^{var} [" + _poly_str(alt, var) + "]"
+            out += " + (-1)^n [" + _poly_str(alt) + "]"
         return out
     lines = [f"period {qp.period}:"]
     for k, cons in enumerate(qp.constituents):
-        lines.append(f"  {var} = {k} mod {qp.period}:  {_poly_str(cons, var)}")
+        lines.append(f"  n = {k} mod {qp.period}:  {_poly_str(cons)}")
     return "\n".join(lines)
 
 
-def _poly_str(coeffs, var: str) -> str:
+def _poly_str(coeffs) -> str:
     terms = []
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
@@ -304,7 +243,7 @@ def _poly_str(coeffs, var: str) -> str:
         if power == 0:
             body = str(c)
         else:
-            v = var if power == 1 else f"{var}^{power}"
+            v = "n" if power == 1 else f"n^{power}"
             if c == 1:
                 body = v
             elif c.denominator == 1:

@@ -1,4 +1,4 @@
-"""Assembled counting quasipolynomials from the intersection semilattice.
+"""Counting quasipolynomials assembled from the intersection semilattice.
 
 ``reconstruct_count`` in the arrangement module sums one term per iso
 class at one board size, the disconnected classes included, so it is
@@ -9,11 +9,15 @@ the count is a sum over set partitions of the pieces of per-block terms.
 Each connected class's alpha is an Ehrhart quasipolynomial whose period
 divides the flat polytope's vertex denominator, fitted exactly (with
 held-out validation) from a window of sizes around n = 0, the negative
-ones by Ehrhart-Macdonald reciprocity.  That reaches count tables brute force
-cannot touch (the q = 4 table on the square board, for instance).
-Every (kappa, n) the fits sample is gated once (``counting.check_size``)
-before the first flat is counted, and every series is cross-checked
-against brute force before it is returned.
+ones by Ehrhart-Macdonald reciprocity.  The formula is then run in
+integers at every size of one window, whose period is the lcm of those
+denominators and the board's, and each count is fitted from its values
+like any table (``quasipoly.fit_values``), so its held-out rows validate
+the assembly.  That reaches count tables brute force cannot touch (the
+q = 4 table on the square board, for instance).  Every (kappa, n) the
+alpha fits sample, and every size of the window, is gated once
+(``counting.check_size``) before the first flat is counted, and every
+series is cross-checked against brute force before it is returned.
 Only this route counts flats, so importing it compiles ``flatcount`` too,
 at start-up, before the closure is built, rather than inside the first
 flat count.
@@ -21,8 +25,7 @@ flat count.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import flatcount  # noqa: F401
 from .arrangement import Flat, Semilattice, alpha, is_connected
@@ -37,28 +40,13 @@ from .counting import (
 )
 from .errors import RiderPolyError
 from .geometry import BoardPolygon
-from .quasipoly import Quasipolynomial, check_ehrhart, constant, fit_values
+from .quasipoly import Quasipolynomial, check_ehrhart, fit_values, poly_eval
 
 
-def board_count_qp(board: BoardPolygon,
-                   budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
-    """The cell count N as an exact quasipolynomial of n (degree 2).
-
-    Fitted from counted values with period equal to the board denominator:
-    five rows per residue, so two held-out rows each.  Each value is N as
-    the budget gate (``counting.check_size``) reads it, after the size's
-    walk is checked; no cell is listed.
-    """
-    period = board.denominator
-    values = {n: check_size(board, n, budget, 0, "count")
-              for n in range(5 * period)}
-    return fit_values(values, period, 2).reduced()
-
-
-def _window(flat: Flat, period: int) -> range:
-    """The sizes ``alpha_qp`` samples at the given period: p*(d + 2) sizes
-    around 0, for the flat's dimension d = 2*kappa - codim."""
-    span = period * (2 * flat.kappa - flat.codim + 2)
+def _window(degree: int, period: int) -> range:
+    """The p*(degree + 2) sizes around 0 that a fit at that degree and
+    period samples: degree + 2 per residue, the largest one held out."""
+    span = period * (degree + 2)
     return range(-(span // 2), span - span // 2)
 
 
@@ -72,65 +60,85 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
     the closed dilates (Ehrhart-Macdonald reciprocity), so the largest |n|
     sampled is about p*(d + 2)/2 instead of p*(d + 2).  Each residue's
     largest sample, at n >= 0, is its held-out row.  The window is gated
-    by ``labelled_count_qps``, not here.
+    by ``count_qps``, not here.
     """
-    values = {n: alpha(sl, flat, board, n)
-              for n in _window(flat, period)}
-    return fit_values(values, period, 2 * flat.kappa - flat.codim).reduced()
+    dim = 2 * flat.kappa - flat.codim
+    values = {n: alpha(sl, flat, board, n) for n in _window(dim, period)}
+    return fit_values(values, period, dim).reduced()
 
 
-def labelled_count_qps(sl: Semilattice, board: BoardPolygon,
-                       budget: int = DEFAULT_BUDGET) -> list:
-    """Labelled counting quasipolynomials a_0, ..., a_q of m = 0..q pieces.
+def count_qps(sl: Semilattice, board: BoardPolygon,
+              budget: int = DEFAULT_BUDGET) -> list:
+    """Unlabelled counting quasipolynomials u_0, ..., u_q of m = 0..q pieces.
 
     Exponential formula: with c_1 = N and c_k = sum mu * alpha over the
-    connected flats on pieces 0..k-1, a_m = sum over k of
-    C(m-1, k-1) * c_k * a_{m-k}.  A connected class on k pieces is spread
-    evenly over the C(q, k) piece subsets, so each contributes
-    size / C(q, k) flats to c_k.  The sizes of N's fit are checked first,
-    then every class's whole alpha window, in class order, before the
-    first flat is counted, each distinct (kappa, n) where it first occurs.
+    connected flats on pieces 0..k-1, the labelled count is
+    a_m = sum over k of C(m-1, k-1) * c_k * a_{m-k}, and u_m = a_m / m!.
+    A connected class on k pieces is spread evenly over the C(q, k) piece
+    subsets, so each contributes size / C(q, k) flats to c_k.  The
+    recurrence runs in integers at each of the P*(2q + 2) sizes around 0,
+    P the lcm of the board's and every class's denominator, with each
+    alpha read off its fit; u_m is fitted from those values at period P
+    and degree 2m.  Every class's whole alpha window is checked first, in
+    class order, each distinct (kappa, n) where it first occurs, then the
+    window's sizes, all before the first flat is counted.
     """
     q = sl.q
-    c = [None, board_count_qp(board, budget)] + [constant(0)] * (q - 1)
-    fits, gated = [], set()
+    classes, gated, period = [], set(), board.denominator
     for rep in sl.iso_classes:
         if not is_connected(rep):
             continue
         share, rest = divmod(len(rep.orbit), comb(q, rep.kappa))
         if rest:
             raise RuntimeError("a connected class is uneven over piece subsets")
-        period = flat_polytope_denominator(rep, board)
-        for n in _window(rep, period):
+        p = flat_polytope_denominator(rep, board)
+        for n in _window(2 * rep.kappa - rep.codim, p):
             if (rep.kappa, n) not in gated:
                 gated.add((rep.kappa, n))
                 check_size(board, n, budget, rep.kappa, "alpha")
-        fits.append((rep, share, period))
-    for rep, share, period in fits:
-        c[rep.kappa] += (share * rep.mobius
-                         * alpha_qp(sl, rep, board, period))
-    a = [constant(1)]
-    for m in range(1, q + 1):
-        a_m = constant(0)
-        for k in range(1, m + 1):
-            a_m += comb(m - 1, k - 1) * c[k] * a[m - k]
-        a.append(a_m)
-    return a
+        classes.append((rep, share * rep.mobius, p))
+        period = lcm(period, p)
+    window = _window(2 * q, period)
+    cells = {n: check_size(board, n, budget, 0, "count") for n in window}
+    terms = []
+    for rep, weight, p in classes:
+        # Each constituent once as integer coefficients over their lcm.
+        scaled = []
+        for cons in alpha_qp(sl, rep, board, p).constituents:
+            den = lcm(*(c.denominator for c in cons))
+            scaled.append(([c.numerator * (den // c.denominator)
+                            for c in cons], den))
+        terms.append((rep.kappa, weight, scaled))
+    values = [{} for _ in range(q + 1)]
+    for n in window:
+        c = [0, cells[n]] + [0] * (q - 1)
+        for kappa, weight, scaled in terms:
+            coeffs, den = scaled[n % len(scaled)]
+            # exact: alpha is an integer at every n
+            c[kappa] += weight * (poly_eval(coeffs, n) // den)
+        a = [1]
+        for m in range(1, q + 1):
+            a.append(sum(comb(m - 1, k - 1) * c[k] * a[m - k]
+                         for k in range(1, m + 1)))
+        for m, a_m in enumerate(a):
+            unlabelled, rest = divmod(a_m, factorial(m))
+            if rest:
+                raise RiderPolyError(
+                    f"assembled count of {m} labelled pieces at n={n} "
+                    f"is not a multiple of {m}!")
+            values[m][n] = unlabelled
+    return [fit_values(values[m], period, 2 * m) for m in range(q + 1)]
 
 
 def reconstruction_quasipolynomials(
         sl: Semilattice, board: BoardPolygon,
-        budget: int = DEFAULT_BUDGET) -> tuple:
-    """(labelled, unlabelled) counting quasipolynomials for the semilattice's piece.
-
-    The labelled one is a_q of ``labelled_count_qps`` and the unlabelled
-    one is that divided by q!; the unlabelled one is checked against the
-    Ehrhart form (``quasipoly.check_ehrhart``) before returning.
-    """
-    total = labelled_count_qps(sl, board, budget)[sl.q]
-    unlabelled = total * Fraction(1, factorial(sl.q))
+        budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
+    """The unlabelled counting quasipolynomial u_q of the semilattice's
+    piece, from ``count_qps``, checked against the Ehrhart form
+    (``quasipoly.check_ehrhart``) before returning."""
+    unlabelled = count_qps(sl, board, budget)[sl.q]
     check_ehrhart(unlabelled, sl.q, board.area)
-    return total, unlabelled
+    return unlabelled
 
 
 def reconstruction_series(sl: Semilattice, board: BoardPolygon,
@@ -139,29 +147,27 @@ def reconstruction_series(sl: Semilattice, board: BoardPolygon,
                           cross_check_up_to: int = 6) -> CountTable:
     """CountTable from the assembled quasipolynomial, method "reconstruction".
 
-    Before emitting anything the assembled labelled count is compared with
-    the brute-force enumerator for n = 0..cross_check_up_to (exact
-    equality); a mismatch raises instead of producing a table.  Like the
-    brute-force route it refuses a reversed range, and a negative n, where
-    the quasipolynomial gives reciprocity values, not counts.
+    Before emitting anything the assembled count is compared with the
+    brute-force enumerator for n = 0..cross_check_up_to (exact equality);
+    a mismatch raises instead of producing a table.  Like the brute-force
+    route it refuses a reversed range, and a negative n, where the
+    quasipolynomial gives reciprocity values, not counts.
     """
     check_range(n_from, n_to)
-    labelled_qp, unlabelled_qp = reconstruction_quasipolynomials(
-        sl, board, budget)
+    fitted = reconstruction_quasipolynomials(sl, board, budget)
     brute = count_series(sl.ms, board, sl.q, 0, cross_check_up_to, budget)
-    for n in brute.ns():
-        expected, _ = brute.row(n)
-        got = labelled_qp.evaluate(n)
+    for n, expected in brute.rows.items():
+        got = fitted.evaluate(n)
         if got != expected:
             raise RiderPolyError(
                 f"reconstruction cross-check failed at n={n}: "
                 f"assembled {got}, brute force {expected}")
     rows = {}
     for n in range(n_from, n_to + 1):
-        value = unlabelled_qp.evaluate(n)
+        value = fitted.evaluate(n)
         if value.denominator != 1:
             raise RiderPolyError(
-                f"assembled labelled count at n={n} is not a multiple of q!")
+                f"assembled count at n={n} is not an integer")
         rows[n] = int(value)
     return CountTable(piece=sl.ms.label, board=board, q=sl.q, rows=rows,
                       method=METHOD_RECONSTRUCTION)

@@ -346,7 +346,7 @@ ALL_CHECKS = (
 )
 
 
-def run_paper_suite(out=print) -> int:
+def run_paper_suite() -> int:
     """Run the battery, print one line per check, return the exit code.
 
     Exit 0 when every check passes and every documented-defect check
@@ -356,13 +356,13 @@ def run_paper_suite(out=print) -> int:
     failures = 0
     for check in ALL_CHECKS:
         for result in check(suite):
-            out(f"{result.status:15s} {result.name}")
+            print(f"{result.status:15s} {result.name}")
             if result.detail and result.status not in ("PASS",):
-                out(f"{'':15s}   {result.detail}")
+                print(f"{'':15s}   {result.detail}")
             if result.expected_failure:
                 if result.passed:
                     failures += 1
             elif not result.passed:
                 failures += 1
-    out(f"verification {'PASSED' if failures == 0 else 'FAILED'}")
+    print(f"verification {'PASSED' if failures == 0 else 'FAILED'}")
     return 0 if failures == 0 else 1

@@ -1,10 +1,16 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from conftest import board_vertex_denominator
 
 from riderpoly import bounds, counting, quasipoly as qp, symbolic
-from riderpoly.arrangement import alpha, intersection_semilattice, w_equal_flat
+from riderpoly.arrangement import (
+    alpha,
+    intersection_semilattice,
+    reconstruct_count,
+    w_equal_flat,
+)
 from riderpoly.counting import (
     METHOD_RECONSTRUCTION,
     count_nonattacking,
@@ -14,9 +20,8 @@ from riderpoly.errors import CapacityError, FitError, RiderPolyError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
-    board_count_qp,
+    count_qps,
     flat_polytope_denominator,
-    labelled_count_qps,
     reconstruction_quasipolynomials,
     reconstruction_series,
 )
@@ -27,15 +32,24 @@ def queen_sl3(queen):
     return intersection_semilattice(queen, 3)
 
 
+def shifted(fitted, factor, shift=0):
+    """fitted times factor, plus shift: each constituent corrupted alike."""
+    return qp.Quasipolynomial(fitted.degree, fitted.period, tuple(
+        (factor * cons[0] + shift, *(factor * c for c in cons[1:]))
+        for cons in fitted.constituents))
+
+
 class TestBoardCountQp:
-    def test_square_is_n_squared(self, square):
-        nqp = board_count_qp(square)
+    """u_1, the count of one piece, is the cell count N."""
+
+    def test_square_is_n_squared(self, queen_sl3, square):
+        nqp = count_qps(queen_sl3, square)[1].reduced()
         assert nqp.period == 1
         assert nqp.constituents[0] == (F(0), F(0), F(1))
 
-    def test_rational_rectangle(self):
+    def test_rational_rectangle(self, bishop):
         board = board_from_text("rect:5/2,1")
-        nqp = board_count_qp(board)
+        nqp = count_qps(intersection_semilattice(bishop, 2), board)[1]
         # interior cells of (n+1)*[0,5/2]x[0,1]: (ceil(5(n+1)/2)-1) * n
         for n in range(0, 12):
             rows = 5 * (n + 1) // 2 + (1 if (5 * (n + 1)) % 2 else 0) - 1
@@ -104,27 +118,28 @@ class TestReconstructionSeries:
         assert table.method == METHOD_RECONSTRUCTION
 
     def test_assembled_degree_and_lead(self, queen_sl3, square):
-        labelled, unlabelled = reconstruction_quasipolynomials(queen_sl3, square)
-        assert labelled.degree == 6
+        unlabelled = reconstruction_quasipolynomials(queen_sl3, square)
+        assert unlabelled.degree == 6
         assert unlabelled.reduced().period == 2
         assert set(c[6] for c in unlabelled.constituents) == {F(1, 6)}
 
-    # A doubled assembly still has degree 4 but its unlabelled count leads
-    # with area^2, not area^2 / 2!; a constant one has the wrong degree.
-    # The Ehrhart check refuses both.
+    # A doubled assembly still has degree 4 but leads with area^2, not
+    # area^2 / 2!; a constant one has the wrong degree.  The Ehrhart check
+    # refuses both.
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda a: 2 * a, "leads with 1, expected 1/2"),
-        (lambda a: qp.constant(1), "has degree 0, expected 4"),
+        (lambda u: shifted(u, 2), "leads with 1, expected 1/2"),
+        (lambda u: qp.Quasipolynomial(0, 1, ((F(1),),)),
+         "has degree 0, expected 4"),
     ], ids=["doubled", "constant"])
     def test_corrupted_assembly_fails_ehrhart_check(self, rook, square,
                                                     monkeypatch, corrupt,
                                                     message):
-        assembled = symbolic.labelled_count_qps
+        assembled = symbolic.count_qps
 
         def corrupted(sl, board, budget):
-            return [corrupt(a) for a in assembled(sl, board, budget)]
+            return [corrupt(u) for u in assembled(sl, board, budget)]
 
-        monkeypatch.setattr(symbolic, "labelled_count_qps", corrupted)
+        monkeypatch.setattr(symbolic, "count_qps", corrupted)
         with pytest.raises(FitError, match=message):
             reconstruction_quasipolynomials(
                 intersection_semilattice(rook, 2), square)
@@ -151,7 +166,7 @@ class TestReconstructionSeries:
         # flat is counted.  The first refusal is at n = -5, the closed
         # 4-fold dilate's 25 cells, in the first window that reaches it.
         with pytest.raises(CapacityError) as exc:
-            labelled_count_qps(queen_sl3, square, budget=10**4)
+            count_qps(queen_sl3, square, budget=10**4)
         assert exc.value.context == {"n": -5, "envelope": 25**3,
                                      "budget": 10**4}
 
@@ -160,11 +175,11 @@ class TestReconstructionSeries:
         # The exponential-formula recursion builds a_m for every m <= q
         # from the q = 4 semilattice's connected classes.
         ms = piece_from_text(name)
-        counts = labelled_count_qps(intersection_semilattice(ms, 4), square)
+        counts = count_qps(intersection_semilattice(ms, 4), square)
         for m in range(0, 4):
             for n in range(0, 8):
                 assert counts[m].evaluate(n) == count_nonattacking(
-                    ms, square, m, n)[0], (m, n)
+                    ms, square, m, n)[1], (m, n)
 
     @pytest.mark.parametrize("board_text", [
         "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3"])
@@ -188,14 +203,14 @@ class TestReconstructionSeries:
         "square", "rect:3/2,1", "poly:-1,0,0;0,-1,0;2,1,3"])
     def test_negative_n_by_reciprocity(self, name, q, board_text):
         # At n = -m the inclusion-exclusion sum counts closed dilates
-        # (cells and flat tuples alike); the assembled quasipolynomial,
-        # whose cell count N is fitted from n >= 0 only, must agree.
-        from riderpoly.arrangement import reconstruct_count
+        # (cells and flat tuples alike); the assembled quasipolynomial
+        # must agree.
         sl = intersection_semilattice(piece_from_text(name), q)
         board = board_from_text(board_text)
-        labelled, _ = reconstruction_quasipolynomials(sl, board)
+        unlabelled = reconstruction_quasipolynomials(sl, board)
         for n in range(-5, 0):
-            assert labelled.evaluate(n) == reconstruct_count(sl, board, n), n
+            assert (factorial(q) * unlabelled.evaluate(n)
+                    == reconstruct_count(sl, board, n)), n
 
     @pytest.mark.parametrize("n_from, n_to, message", [
         (-3, 0, "n must be nonnegative"),
@@ -220,10 +235,48 @@ class TestReconstructionSeries:
         real = sym.reconstruction_quasipolynomials
 
         def corrupted(sl, board, budget=10**10):
-            lab, unlab = real(sl, board, budget)
-            from riderpoly import quasipoly as qp
-            return lab + qp.constant(6), unlab
+            return shifted(real(sl, board, budget), 1, shift=1)
 
         monkeypatch.setattr(sym, "reconstruction_quasipolynomials", corrupted)
         with pytest.raises(RiderPolyError):
             sym.reconstruction_series(queen_sl3, square, 1, 5)
+
+
+class TestAssembledEqualsTableFit:
+    """The assembled count, reduced, is the brute-force table's fit at its
+    period, constituent by constituent: equal rows at n <= 12 do not imply
+    this, since 6 rows per residue are fewer than 2q + 1 coefficients."""
+
+    @pytest.mark.parametrize("name,q,board_text", [
+        ("queen", 3, "square"), ("bishop", 2, "square"),
+        ("bishop", 3, "square"), ("rook", 2, "square"),
+        ("rook", 3, "square"), ("bishop", 2, "rect:5/2,1")])
+    def test_constituents(self, name, q, board_text):
+        ms = piece_from_text(name)
+        board = board_from_text(board_text)
+        assembled = reconstruction_quasipolynomials(
+            intersection_semilattice(ms, q), board).reduced()
+        p = assembled.period
+        table = count_series(ms, board, q, 0, p * (2 * q + 2) - 1)
+        assert qp.fit(table, p).constituents == assembled.constituents
+
+    def test_nightrider_q3_largest_window(self, nightrider, square,
+                                          monkeypatch):
+        # P = 60, so the window holds 480 sizes; the default budget refuses
+        # the closed dilates its alpha windows reach.
+        budget = 10**14
+        sl = intersection_semilattice(nightrider, 3)
+        assembled = []
+        real = symbolic.reconstruction_quasipolynomials
+
+        def kept(*args):
+            assembled.append(real(*args))
+            return assembled[-1]
+
+        monkeypatch.setattr(symbolic, "reconstruction_quasipolynomials", kept)
+        table = reconstruction_series(sl, square, 1, 12, budget=budget)
+        assert table.rows == count_series(nightrider, square, 3, 1, 12).rows
+        fitted, = assembled
+        assert fitted.reduced().period == 60
+        assert qp.types_count(fitted) == 36
+        assert reconstruct_count(sl, square, -1, budget) // 6 == 36
