@@ -3,13 +3,14 @@
 For q pieces with move set M there is one hyperplane per (pair of pieces,
 move), the tuple (i, j, move index): the configurations where that pair
 lies on a common move line.  Intersecting hyperplanes in all combinations
-yields the semilattice of flats; each flat carries its defining equations
-(canonical primitive integer row basis), its hyperplane mask, Mobius
-value, and slope graph, whose edges are its hyperplanes.  Relabelling the
-pieces (S_q) permutes the hyperplanes and the flats; the iso classes are
-the orbits, each orbit's Mobius value, key and automorphism count are
-computed once and set on its members, and a class is represented by its
-lowest-id member flat.  The inclusion-exclusion sum of
+yields the semilattice of flats (found by ``lattice.close``, keyed by
+hyperplane mask); each flat carries its defining equations (canonical
+primitive integer row basis), its hyperplane mask, Mobius value, and
+slope graph, whose edges are its hyperplanes.  Relabelling the pieces
+(S_q) permutes the hyperplanes and the flats; the iso classes are the
+orbits (``lattice.classify``), each orbit's Mobius value, key and
+automorphism count are computed once and set on its members, and a class
+is represented by its lowest-id member flat.  The inclusion-exclusion sum of
 Mobius-weighted lattice-point counts over all flats (counted in
 ``flatcount``) reconstructs the nonattacking count, independently of the
 brute-force enumerator.  A flat's count is defined at every integer n: at
@@ -24,11 +25,10 @@ reconstruction route compiles both with ``symbolic``.
 from __future__ import annotations
 
 from itertools import combinations
-from math import perm
 
-from .errors import DEFAULT_BUDGET, CapacityError
+from .errors import DEFAULT_BUDGET
 from .geometry import BoardPolygon, MoveSet
-from .linalg import insert_row
+from .lattice import classify, close
 
 
 def build_move_arrangement(ms: MoveSet, q: int) -> list[tuple[int, int, int]]:
@@ -123,118 +123,46 @@ def intersection_semilattice(ms: MoveSet, q: int,
                              max_flats: int = 200_000) -> Semilattice:
     """Close the move arrangement under intersection; class the flats.
 
-    Each flat is kept as its ``linalg.insert_row`` echelon and its
-    hyperplane mask, the set of hyperplanes containing it.  A flat is
-    extended by one ``insert_row`` per hyperplane outside its mask; the
-    sorted extended echelon (the primitive RREF of ``canonical_int_rows``)
-    is the new flat's key.  A new key gets its mask completed by testing
-    the remaining hyperplanes against its echelon, and every hyperplane of
-    that mask then leads from the parent to the same flat, so none of them
-    is eliminated again for this parent.  Flats are ordered by codimension,
-    then by rows.  A pass in that order then takes each flat not yet classed
-    with its S_q orbit as an iso class: Mobius value, key and |Aut| are
-    computed once per orbit, classes are ordered by key, and each class's
-    representative is its lowest-id member.
+    ``lattice.close`` checks ``max_flats`` against a count that needs no
+    closure, then finds every flat by its hyperplane mask: it builds each
+    new flat with one ``linalg.insert_row`` from its parent's echelon,
+    which gives the flat's rows, the primitive RREF of
+    ``canonical_int_rows``.  Flats are ordered by codimension, then by
+    rows.  ``lattice.classify`` then takes, in that order, each flat not
+    yet classed with its S_q orbit as an iso class: Mobius value, key and
+    |Aut| are computed once per orbit, classes are ordered by key, and
+    each class's representative is its lowest-id member.
     """
     hyps = build_move_arrangement(ms, q)
-    hrows = [hyperplane_row(h, ms, q) for h in hyps]
-
-    by_key: dict[tuple, int] = {(): 0}
-    masks = [0]
-    work = [(0, [])]    # (flat id, echelon) of the flats not yet extended
-    while work:
-        fid, echelon = work.pop()
-        covered = masks[fid]
-        for hid, hrow in enumerate(hrows):
-            if covered >> hid & 1:
-                continue
-            # Never None: the mask holds every hyperplane in the span.
-            extended = insert_row(hrow, 0, echelon)
-            key = tuple(tuple(erow) for _, erow, _ in sorted(extended))
-            new = by_key.get(key)
-            if new is None:
-                if len(masks) >= max_flats:
-                    raise CapacityError(
-                        f"semilattice closure exceeded {max_flats} flats",
-                        flats=len(masks) + 1, budget=max_flats)
-                # A hyperplane already covered, or passed over above, leads
-                # from this parent to another flat, so it is not in this one.
-                mask = masks[fid] | 1 << hid
-                for other in range(hid + 1, len(hrows)):
-                    if (not covered >> other & 1
-                            and insert_row(hrows[other], 0, extended) is None):
-                        mask |= 1 << other
-                new = by_key[key] = len(masks)
-                masks.append(mask)
-                work.append((new, extended))
-            covered |= masks[new]
-
+    by_mask = close(ms, q, hyps, [hyperplane_row(h, ms, q) for h in hyps],
+                    max_flats)
     # Deterministic flat order: by codimension, then by row content.
-    ordered = sorted(by_key, key=lambda rows: (len(rows), rows))
+    ordered = sorted(by_mask.items(), key=lambda item: (len(item[1]), item[1]))
     flats = []
-    for fid, rows in enumerate(ordered):
-        mask = masks[by_key[rows]]
+    for fid, (mask, rows) in enumerate(ordered):
         edges = tuple(h for hid, h in enumerate(hyps) if mask >> hid & 1)
-        involved = sorted({c // 2 for row in rows
-                           for c, x in enumerate(row) if x != 0})
-        flats.append(Flat(fid, rows, mask, tuple(involved), edges))
+        involved = tuple(sorted({p for i, j, _ in edges for p in (i, j)}))
+        flats.append(Flat(fid, rows, mask, involved, edges))
 
     sl = Semilattice(ms, q, hyps, flats)
-    _classify(sl)
+    classify(sl)
     return sl
-
-
-def _classify(sl: Semilattice) -> None:
-    # Relabelling pieces by sigma sends hyperplane (i, j, r) to (sigma i,
-    # sigma j, r), and a flat to the flat of the image mask; the adjacent
-    # transpositions (k-1 k) generate S_q, so they reach the whole orbit.
-    ids = sl.hyperplane_ids
-    by_mask = {flat.mask: flat.id for flat in sl.flats}
-    orbits = []
-    for flat in sl.flats:       # in codimension order, as mu's sum needs
-        if flat.iso_key is not None:
-            continue
-        orbit, todo = {flat.id}, [flat]
-        while todo:
-            edges = todo.pop().edges
-            for k in range(1, sl.q):
-                s = {k - 1: k, k: k - 1}
-                image = by_mask[sum(1 << ids[s.get(i, i), s.get(j, j), r]
-                                    for i, j, r in edges)]
-                if image not in orbit:
-                    orbit.add(image)
-                    todo.append(sl.flats[image])
-        orbit = tuple(sorted(orbit))
-        members = [sl.flats[fid] for fid in orbit]
-        # mu(V) over the flats V containing U sums to [U is the bottom]; each
-        # V but U comes before U, and only such flats have masks within U's.
-        mobius = (flat.codim == 0) - sum(v.mobius for v in sl.flats[:flat.id]
-                                         if v.mask & flat.mask == v.mask)
-        # The orbit realises every relabelling of the involved pieces, so
-        # the least order-preserving local edge list is the least relabelling.
-        key = (flat.kappa, min(
-            tuple((f.involved.index(i), f.involved.index(j), r)
-                  for i, j, r in f.edges) for f in members))
-        aut = perm(sl.q, flat.kappa) // len(members)
-        for f in members:
-            f.mobius, f.iso_key, f.aut_order, f.orbit = mobius, key, aut, orbit
-        orbits.append((key, members))
-
-    # One orbit per key, so sorting never compares two orbits' members.
-    for cid, (key, members) in enumerate(sorted(orbits)):
-        sl.iso_classes.append(members[0])
-        for f in members:
-            f.iso_class = cid
 
 
 def is_connected(flat: Flat) -> bool:
     """Whether the flat's slope graph is one component (the bottom has none).
 
     Mobius values and lattice-point counts multiply over the components,
-    so only connected flats enter the exponential-formula assembly.
+    so only connected flats enter the exponential-formula assembly.  The
+    pieces' graph of edges is connected exactly when the graph on groups
+    of coincident pieces (``flatcount.slope_components``) is, so it is
+    read off the edges without building the components.
     """
-    from .flatcount import slope_components
-    return len(slope_components(flat)) == 1
+    reached = set(flat.involved[:1])
+    for _ in flat.involved:
+        reached.update(p for i, j, _ in flat.edges
+                       if i in reached or j in reached for p in (i, j))
+    return 0 < len(reached) == flat.kappa
 
 
 def w_slope_flat(sl: Semilattice, pieces, move_index: int) -> Flat:
@@ -287,7 +215,8 @@ def semilattice_report(sl: Semilattice) -> dict:
     }
 
 
-def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int) -> int:
+def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int,
+          plan=None) -> int:
     """The flat's lattice-point count at size n, for every integer n.
 
     For n >= 0 it is the number of kappa-tuples of board cells (points
@@ -297,10 +226,11 @@ def alpha(sl: Semilattice, flat: Flat, board: BoardPolygon, n: int) -> int:
     (m >= 1) is (-1)^d L(m-1), with d = 2*kappa - codim and L(t) the
     number of such tuples in the *closed* t-fold dilate (L(0) = 1).
     Pieces the flat does not involve contribute no factor here.  It
-    checks no budget: the caller gates the size first.
+    checks no budget: the caller gates the size first.  ``plan`` is the
+    flat's ``flatcount.count_plan``, made for this call if not given.
     """
     from .flatcount import count_flat
-    value = count_flat(sl.ms, flat, board, n)
+    value = count_flat(sl.ms, flat, board, n, plan)
     if n < 0 and flat.codim % 2:
         value = -value      # (-1)^d with d = 2*kappa - codim
     return value

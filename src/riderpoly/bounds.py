@@ -10,9 +10,9 @@ The inside-out denominator is taken flat by flat: by Beck and Zaslavsky
 (*Inside-out polytopes*, arXiv math/0309330) the vertices of the
 inside-out polytope are the vertices of board^q cut by each flat of the
 move arrangement, so one small scan per isomorphism class of flats
-replaces a scan of every 2q x 2q system of the grand matrix.  A scan
-(``linalg.scan_vertices``) eliminates each set of row directions once; a
-flat skips the sets its lcm already covers.  The grand matrix still sizes
+replaces a scan of every 2q x 2q system of the grand matrix.  Those scans
+are ``flatpolytope.flat_polytope_denominator``, which the Mobius route
+also uses without compiling this module.  The grand matrix still sizes
 the budget, checked first (criterion 9: the nightrider q = 4 denominator
 is refused by default).
 
@@ -25,11 +25,9 @@ and is checked first too.
 
 from __future__ import annotations
 
-from math import comb, gcd, lcm
-from operator import mul
+from math import comb, lcm
 
 from .arrangement import (
-    Flat,
     build_move_arrangement,
     hyperplane_row,
     intersection_semilattice,
@@ -40,9 +38,10 @@ from .errors import (
     CapacityError,
     MoveSetError,
 )
+from .flatpolytope import flat_polytope_denominator
 from .geometry import BoardPolygon, MoveSet
 # scan_vertices stays importable here: perfbench/trace_job.py wraps it.
-from .linalg import _bases, _solve, scan_vertices  # noqa: F401
+from .linalg import scan_vertices  # noqa: F401
 
 
 def moves_matrix(ms: MoveSet) -> tuple[tuple[int, int], ...]:
@@ -80,69 +79,6 @@ def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
     if q < 1:
         raise ValueError("q must be positive")
     return [(row, 0) for row in attack_rows(ms, q)] + board_rows(board, q)
-
-
-def essential_rows(flat: Flat) -> list[tuple[int, ...]]:
-    """The flat's equations restricted to its involved pieces' coordinates."""
-    cols = []
-    for piece in flat.involved:
-        cols.extend((2 * piece, 2 * piece + 1))
-    return [tuple(row[c] for c in cols) for row in flat.rows]
-
-
-def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
-    """lcm of vertex-coordinate denominators of the flat's board polytope.
-
-    The polytope is (board^kappa) cut by the flat's equations.  It is
-    scanned in the flat's own coordinates: the free (non-pivot) columns
-    of the flat's primitive RREF rows.  With L the lcm of the pivots,
-    every one of the 2 kappa coordinates is an integer row over the free
-    coordinates, divided by L.  Each piece's board rows are projected
-    through those rows, made primitive and deduplicated (pieces the flat
-    makes coincide share them).  Over each set of their directions from
-    ``_bases`` the lifted coordinates are affine in the groups' integer
-    t's over d L; ``denom`` of all their coefficients bounds the set's
-    vertex denominators, and a set whose bound divides the lcm so far is
-    skipped.  The alpha quasipolynomial's period divides this.
-    """
-    kappa = flat.kappa
-    if kappa == 0:
-        return 1
-    pivots = {next(c for c, x in enumerate(row) if x): row
-              for row in essential_rows(flat)}
-    free = [c for c in range(2 * kappa) if c not in pivots]
-    scale = lcm(*[row[p] for p, row in pivots.items()])
-    lift = []
-    for c in range(2 * kappa):
-        row = pivots.get(c)
-        if row is None:
-            lift.append([scale if f == c else 0 for f in free])
-        else:
-            lift.append([-row[f] * (scale // row[c]) for f in free])
-
-    projected = {}
-    for k in range(kappa):
-        for a, b, c in board.rows:
-            row = [a * x + b * y for x, y in zip(lift[2 * k], lift[2 * k + 1])]
-            g = gcd(*row, c * scale)
-            projected[tuple(x // g for x in row), c * scale // g] = None
-    projected = list(projected)
-
-    def feasible(point) -> bool:
-        d, nums = point
-        return all(sum(a * x for a, x in zip(row, nums)) <= rhs * d
-                   for row, rhs in projected)
-
-    def denom(dl, vectors) -> int:
-        return dl // gcd(dl, *[sum(map(mul, row, v))
-                               for row in lift for v in vectors])
-
-    result = 1
-    for groups, d, affine in _bases([], projected, len(free)):
-        if result % denom(d * scale, list(zip(*affine))):
-            for e, nums in _solve(groups, d, affine, feasible):
-                result = lcm(result, denom(e * scale, [nums]))
-    return result
 
 
 def denominator(ms: MoveSet, board: BoardPolygon, q: int,

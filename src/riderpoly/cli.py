@@ -9,12 +9,14 @@ what parsing and error reporting use (``errors``, ``geometry`` and the
 ``linalg`` it needs); each ``cmd_*`` imports its own route when it starts:
 brute-force ``count`` the enumerator (``counting``, ``kernel``), ``fit``
 and ``types`` that and ``quasipoly``, ``bounds`` the period chain
-(``bounds``, ``arrangement``), ``mobius`` the semilattice
-(``arrangement``), ``count --method reconstruction`` the Mobius route
-(``arrangement``, ``symbolic`` and all they import), and ``verify``
-everything.  Without a bytecode cache (``PYTHONDONTWRITEBYTECODE``) each
-module a process imports is compiled from source, so a module the command
-does not run is start-up spent for nothing.
+(``bounds``, ``flatpolytope``, ``arrangement``, ``lattice``), ``mobius``
+the semilattice (``arrangement``, ``lattice``), ``count --method
+reconstruction`` the Mobius route (``arrangement``, ``symbolic`` and all
+they import: of the period chain only ``flatpolytope``, not ``bounds``),
+and ``verify`` everything.  Without a bytecode cache
+(``PYTHONDONTWRITEBYTECODE``) each module a process imports is compiled
+from source, so a module the command does not run is start-up spent for
+nothing.
 """
 
 from __future__ import annotations

@@ -42,23 +42,38 @@ class _PointGeometry:
             self.buckets.append(buckets)
 
 
-def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int) -> int:
+def count_flat(ms: MoveSet, flat, board: BoardPolygon, n: int,
+               plan=None) -> int:
     """Unsigned count of the flat's cell tuples at size n, the size's work
-    already checked against the budget by the caller."""
+    already checked against the budget by the caller.  ``plan`` is the
+    flat's ``count_plan``, made here if not given."""
     if flat.kappa == 0:
         return 1
     geo = _PointGeometry(ms, board, n)
     if not geo.points:
         return 0
     result = 1
-    for nodes, edges, adjacency in slope_components(flat):
-        if len(edges) == len(nodes) - 1:
-            result *= _count_tree(geo, nodes, adjacency)
+    for tree, steps in plan or count_plan(flat):
+        if tree:
+            result *= _count_tree(geo, steps)
         else:
-            result *= _count_generic(ms, geo, nodes, adjacency)
+            result *= _count_generic(ms, geo, *steps)
         if result == 0:
             return 0
     return result
+
+
+def count_plan(flat) -> tuple:
+    """How ``count_flat`` counts the flat at any size: per component of
+    its slope graph, (True, tree steps) or (False, (constraints, fibre)).
+
+    It depends on the flat alone, so a caller counting one flat at many
+    sizes makes it once.
+    """
+    return tuple((True, _tree_steps(nodes, adjacency))
+                 if len(edges) == len(nodes) - 1
+                 else (False, _generic_plan(nodes, adjacency))
+                 for nodes, edges, adjacency in slope_components(flat))
 
 
 def slope_components(flat) -> list:
@@ -68,9 +83,10 @@ def slope_components(flat) -> list:
     form one group.  A closed flat lists every move hyperplane it lies
     in, so coincidence is transitive and a group is named by its least
     local piece index.  Returns one (groups, edges, adjacency) triple per
-    component: ``edges`` maps a pair of groups to its move, and
-    ``adjacency``, shared by all components, maps a group to its
-    (neighbour, move) pairs.
+    component: the groups in the order a depth-first search reaches them,
+    so each group but the first follows a neighbour; ``edges`` maps a pair
+    of groups to its move, and ``adjacency``, shared by all components,
+    maps a group to its (neighbour, move) pairs.
     """
     local = {piece: a for a, piece in enumerate(flat.involved)}
     pair_slopes: dict[tuple[int, int], set[int]] = {}
@@ -119,47 +135,45 @@ def slope_components(flat) -> list:
     return components
 
 
-def _count_tree(geo: _PointGeometry, nodes, adjacency) -> int:
+def _tree_steps(nodes, adjacency) -> list:
+    """(group, [(child, move), ...]) per group of a tree, children first.
+
+    ``nodes`` are in search order, so a group's parent is its one
+    neighbour listed before it."""
+    pos = {v: k for k, v in enumerate(nodes)}
+    return [(v, [(u, move) for u, move in adjacency[v] if pos[u] > pos[v]])
+            for v in reversed(nodes)]
+
+
+def _count_tree(geo: _PointGeometry, steps) -> int:
     """Sum-product over a tree of line constraints, O(edges * cells).
 
     value[v][p] = number of ways to place v's subtree with v at cell p;
     passing to the parent only needs per-line sums of that array.
     """
-    npts = len(geo.points)
-    root = nodes[0]
-    order = []
-    parent_of = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u, move in adjacency[v]:
-            if u not in parent_of:
-                parent_of[u] = (v, move)
-                stack.append(u)
-    value = {v: None for v in order}
-    for v in reversed(order):
+    value = {}
+    for v, children in steps:
         arr = None
-        for u, move in adjacency[v]:
-            if u == (parent_of[v][0] if parent_of[v] else None):
-                continue
+        for u, move in children:
             sums = {key: sum(value[u][pid] for pid in pids)
                     for key, pids in geo.buckets[move].items()}
             col = geo.keys[move]
             if arr is None:
-                arr = [sums[col[p]] for p in range(npts)]
+                arr = [sums[key] for key in col]
             else:
-                arr = [arr[p] * sums[col[p]] for p in range(npts)]
-        value[v] = arr if arr is not None else [1] * npts
-    return sum(value[root])
+                arr = [a * sums[key] for a, key in zip(arr, col)]
+        value[v] = arr if arr is not None else [1] * len(geo.points)
+    return sum(value[v])        # the root comes last
 
 
-def _count_generic(ms, geo: _PointGeometry, nodes, neighbors) -> int:
-    """Place groups one at a time; a group on two known lines is determined.
+def _generic_plan(nodes, neighbors):
+    """The placing order's constraints and the closed-form fibre, if any.
 
-    When the second-to-last group runs along one line and the last group
-    is fixed by two, the two are counted together in closed form
-    (``_count_fibre``) instead of cell by cell.
+    Groups are placed one at a time, each next the one with the most
+    placed neighbours; a group's constraints are its (earlier slot, move)
+    pairs.  When the second-to-last group runs along one line and the last
+    group is fixed by two, the fibre lists the last group's two defining
+    lines first, then the rest, for ``_count_fibre``.
     """
     order = [max(nodes, key=lambda v: len(neighbors[v]))]
     placed = {order[0]}
@@ -179,22 +193,29 @@ def _count_generic(ms, geo: _PointGeometry, nodes, neighbors) -> int:
     fibre = None
     if (last >= 2 and len({move for _, move in constraints[last - 1]}) == 1
             and len({move for _, move in constraints[last]}) >= 2):
-        # the last group's two defining lines first, then the rest
         cons = constraints[last]
         j = next(i for i, (_, move) in enumerate(cons) if move != cons[0][1])
         fibre = [cons[0], cons[j]] + [c for i, c in enumerate(cons)
                                       if i not in (0, j)]
+    return constraints, fibre
 
+
+def _count_generic(ms, geo: _PointGeometry, constraints, fibre) -> int:
+    """Place groups one at a time; a group on two known lines is determined.
+
+    The second-to-last group and the last are counted together in closed
+    form (``_count_fibre``) when the plan has a fibre.
+    """
+    last = len(constraints) - 1
     npts = len(geo.points)
     keys = geo.keys
     buckets = geo.buckets
     index = geo.index
-    points = geo.points
     moves = ms.moves
-    placement = [0] * len(order)
+    placement = [0] * len(constraints)
 
     def extend(k: int) -> int:
-        if k == len(order):
+        if k == len(constraints):
             return 1
         cons = constraints[k]
         total = 0

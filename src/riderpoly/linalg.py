@@ -2,11 +2,12 @@
 
 All row reduction is one fraction-free Gauss-Jordan step, ``insert_row``:
 rows stay integer, are combined by cross-multiplying and are divided by
-their content.  The semilattice closure extends each flat's stored
-echelon with it, the one vertex scan (``scan_vertices``: the board's
+their content.  The semilattice closure (``lattice.close``) builds each
+new flat with one such step from its parent's echelon, which gives the
+flat's rows; the one vertex scan (``scan_vertices``: the board's
 vertices and the inside-out denominators) solves its systems with it, and
-``canonical_int_rows`` (the key of a row space, which the closure's keys
-equal) and ``in_row_space`` are built on it.  ``bareiss_determinant`` is
+``canonical_int_rows`` (the key of a row space, equal to a flat's rows)
+and ``in_row_space`` are built on it.  ``bareiss_determinant`` is
 kept for the tests' references (Cramer's rule, minors one by one):
 ``bounds.lcmd_direct`` expands minors row by row instead.  There is no
 floating point and no ``Fraction`` here.

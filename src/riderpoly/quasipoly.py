@@ -39,6 +39,13 @@ def poly_eval(coeffs, x):
     return total
 
 
+def scaled(coeffs) -> tuple[list[int], int]:
+    """Exact rational coefficients as integers over their least common
+    denominator: (a, den) with coeffs[j] = a[j] / den."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _interpolate_scaled(points) -> tuple[list[int], int]:
     """Integer coefficients and a common denominator of the interpolant.
 
@@ -90,8 +97,13 @@ class Quasipolynomial(Record, frozen=True):
         object.__setattr__(self, "constituents", constituents)
 
     def evaluate(self, n: int) -> Fraction:
-        """f(n) for any integer n; n = -1 uses the last constituent."""
-        return poly_eval(self.constituents[n % self.period], n)
+        """f(n) for any integer n; n = -1 uses the last constituent.
+
+        Horner runs on the constituent's integer coefficients (``scaled``);
+        only the result is a ``Fraction``.
+        """
+        coeffs, den = scaled(self.constituents[n % self.period])
+        return Fraction(poly_eval(coeffs, n), den)
 
     def reduced(self) -> "Quasipolynomial":
         """Smallest period dividing the stored one with identical behavior."""

@@ -20,16 +20,18 @@ alpha fits sample, and every size of the window, is gated once
 series is cross-checked against brute force before it is returned.
 Only this route counts flats, so importing it compiles ``flatcount`` too,
 at start-up, before the closure is built, rather than inside the first
-flat count.
+flat count; each connected class's count plan (``flatcount.count_plan``)
+is made once and serves every size its fit samples.  Of the period chain
+it takes only the flat polytope denominators (``flatpolytope``), so it
+does not compile ``bounds``.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, lcm
 
-from . import flatcount  # noqa: F401
+from . import flatcount
 from .arrangement import Flat, Semilattice, alpha, is_connected
-from .bounds import flat_polytope_denominator
 from .counting import (
     DEFAULT_BUDGET,
     METHOD_RECONSTRUCTION,
@@ -39,8 +41,15 @@ from .counting import (
     count_series,
 )
 from .errors import RiderPolyError
+from .flatpolytope import flat_polytope_denominator
 from .geometry import BoardPolygon
-from .quasipoly import Quasipolynomial, check_ehrhart, fit_values, poly_eval
+from .quasipoly import (
+    Quasipolynomial,
+    check_ehrhart,
+    fit_values,
+    poly_eval,
+    scaled,
+)
 
 
 def _window(degree: int, period: int) -> range:
@@ -63,7 +72,9 @@ def alpha_qp(sl: Semilattice, flat: Flat, board: BoardPolygon,
     by ``count_qps``, not here.
     """
     dim = 2 * flat.kappa - flat.codim
-    values = {n: alpha(sl, flat, board, n) for n in _window(dim, period)}
+    plan = flatcount.count_plan(flat)
+    values = {n: alpha(sl, flat, board, n, plan)
+              for n in _window(dim, period)}
     return fit_values(values, period, dim).reduced()
 
 
@@ -100,20 +111,15 @@ def count_qps(sl: Semilattice, board: BoardPolygon,
         period = lcm(period, p)
     window = _window(2 * q, period)
     cells = {n: check_size(board, n, budget, 0, "count") for n in window}
-    terms = []
-    for rep, weight, p in classes:
-        # Each constituent once as integer coefficients over their lcm.
-        scaled = []
-        for cons in alpha_qp(sl, rep, board, p).constituents:
-            den = lcm(*(c.denominator for c in cons))
-            scaled.append(([c.numerator * (den // c.denominator)
-                            for c in cons], den))
-        terms.append((rep.kappa, weight, scaled))
+    # Each constituent once as integer coefficients over their lcm.
+    terms = [(rep.kappa, weight,
+              [scaled(cons) for cons in alpha_qp(sl, rep, board, p).constituents])
+             for rep, weight, p in classes]
     values = [{} for _ in range(q + 1)]
     for n in window:
         c = [0, cells[n]] + [0] * (q - 1)
-        for kappa, weight, scaled in terms:
-            coeffs, den = scaled[n % len(scaled)]
+        for kappa, weight, constituents in terms:
+            coeffs, den = constituents[n % len(constituents)]
             # exact: alpha is an integer at every n
             c[kappa] += weight * (poly_eval(coeffs, n) // den)
         a = [1]

@@ -3,10 +3,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import strategies as st
 
-from riderpoly import geometry
+from riderpoly import arrangement, geometry, lattice
 from riderpoly.errors import BoardError
 from riderpoly.geometry import BoardPolygon, piece_from_text
-from riderpoly.linalg import scan_vertices
+from riderpoly.linalg import insert_row, scan_vertices
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,60 @@ def no_cell_listing(monkeypatch):
 
     monkeypatch.setattr(geometry, "interior_lattice_points", unreachable)
     monkeypatch.setattr(geometry, "_cells", unreachable)
+
+
+# The five presets and the benchmark's seeded piece.
+PIECES = ("queen", "rook", "bishop", "nightrider", "semiqueen",
+          "-1,2;-2,1;1,1")
+
+
+def row_keyed_semilattice(ms, q):
+    """The closure keyed by canonical rows, as the exhaustive reference.
+
+    Every (flat, hyperplane outside its mask) pair is eliminated with
+    ``insert_row`` and keyed by its sorted echelon, the canonical rows; a
+    new key gets its mask by testing each remaining hyperplane against
+    that echelon.  Flats, ids and order are built as the library builds
+    them from rows and masks, and ``lattice.classify`` sets Mobius
+    values and iso classes, so a mismatch with ``intersection_semilattice``
+    is a closure fault (the double-elimination reference in
+    ``test_arrangement`` checks the classes independently).
+    """
+    hyps = arrangement.build_move_arrangement(ms, q)
+    hrows = [arrangement.hyperplane_row(h, ms, q) for h in hyps]
+    by_key = {(): 0}
+    masks = [0]
+    work = [(0, [])]
+    while work:
+        fid, echelon = work.pop()
+        covered = masks[fid]
+        for hid, hrow in enumerate(hrows):
+            if covered >> hid & 1:
+                continue
+            extended = insert_row(hrow, 0, echelon)
+            key = tuple(tuple(erow) for _, erow, _ in sorted(extended))
+            new = by_key.get(key)
+            if new is None:
+                mask = masks[fid] | 1 << hid
+                for other in range(hid + 1, len(hrows)):
+                    if (not covered >> other & 1
+                            and insert_row(hrows[other], 0, extended) is None):
+                        mask |= 1 << other
+                new = by_key[key] = len(masks)
+                masks.append(mask)
+                work.append((new, extended))
+            covered |= masks[new]
+    flats = []
+    for fid, rows in enumerate(sorted(by_key, key=lambda r: (len(r), r))):
+        mask = masks[by_key[rows]]
+        involved = sorted({c // 2 for row in rows
+                           for c, x in enumerate(row) if x != 0})
+        flats.append(arrangement.Flat(
+            fid, rows, mask, tuple(involved),
+            tuple(h for hid, h in enumerate(hyps) if mask >> hid & 1)))
+    sl = arrangement.Semilattice(ms, q, hyps, flats)
+    lattice.classify(sl)
+    return sl
 
 
 # Move directions with entries in [-2, 2], one per line through the origin:

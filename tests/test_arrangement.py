@@ -3,9 +3,17 @@ from math import comb, factorial, perm
 from random import Random
 
 import pytest
-from conftest import DIRECTIONS, RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
+from conftest import (
+    DIRECTIONS,
+    PIECES,
+    RANDOM_BOARDS,
+    RATIONAL_BOARDS,
+    random_pieces,
+    row_keyed_semilattice,
+)
 from hypothesis import given, settings, strategies as st
 
+from riderpoly import lattice
 from riderpoly.arrangement import (
     Flat,
     Semilattice,
@@ -98,12 +106,40 @@ class TestSemilattice:
         sl = intersection_semilattice(rook, 2)
         assert sorted(f.mobius for f in sl.flats) == [-1, -1, 1, 1]
 
-    def test_max_flats_refusal_context(self, queen):
-        # The queen q=2 closure has 6 flats; the 4th exceeds a budget of 3.
+    def test_max_flats_refusal_context(self, queen, monkeypatch):
+        # The queen q=3 closure has 93 flats, of which 16 have blocks of at
+        # most two pieces (the bottom and 3 pairs x 5); the 17th flat found
+        # exceeds a budget of 16.
         with pytest.raises(CapacityError) as exc:
-            intersection_semilattice(queen, 2, max_flats=3)
-        assert exc.value.context == {"flats": 4, "budget": 3}
-        assert len(intersection_semilattice(queen, 2, max_flats=6).flats) == 6
+            intersection_semilattice(queen, 3, max_flats=16)
+        assert exc.value.context == {"flats": 17, "budget": 16}
+        assert len(intersection_semilattice(queen, 3, max_flats=93).flats) == 93
+        # Queen q=2 has 6 such flats, so a budget of 5 is refused before
+        # the closure eliminates anything, with the count as context.
+        monkeypatch.setattr(lattice, "insert_row", None)
+        with pytest.raises(CapacityError) as exc:
+            intersection_semilattice(queen, 2, max_flats=5)
+        assert exc.value.context == {"flats": 6, "budget": 5}
+
+    @pytest.mark.parametrize("name, q", [
+        ("queen", 2), ("queen", 3), ("rook", 4), ("bishop", 4),
+        ("nightrider", 3), ("semiqueen", 4), ("-1,2;-2,1;1,1", 4),
+        ("1,1", 4), ("queen", 1), ("queen", 0)])
+    def test_bound_counts_flats_with_blocks_of_two(self, name, q):
+        # The bound counts the flats whose blocks have at most two pieces:
+        # one short of it is refused, and a budget of the true flat count
+        # (never below the bound) builds the closure.
+        ms = piece_from_text(name)
+        sl = intersection_semilattice(ms, q)
+        flats = sl.flats
+        small = [f for f in flats
+                 if all(part.kappa <= 2 for part in split_components(sl, f))]
+        with pytest.raises(CapacityError) as exc:
+            intersection_semilattice(ms, q, max_flats=len(small) - 1)
+        assert exc.value.context == {"flats": len(small),
+                                     "budget": len(small) - 1}
+        assert len(intersection_semilattice(ms, q, max_flats=len(flats))
+                   .flats) == len(flats)
 
     def test_closure_under_intersection(self, queen_sl3):
         flats = queen_sl3.flats
@@ -253,6 +289,21 @@ class TestClosureParity:
         assert_same_semilattice(sl, reference_semilattice(ms, 4))
         if name == "queen":
             assert_flat_lookup(sl)
+
+    # The mask-keyed closure builds the flats, ids, order, Mobius values
+    # and classes that the row-keyed closure it replaced built.
+    @pytest.mark.parametrize("q", range(5))
+    @pytest.mark.parametrize("name", PIECES)
+    def test_matches_row_keyed_closure(self, name, q):
+        ms = piece_from_text(name)
+        assert_same_semilattice(intersection_semilattice(ms, q),
+                                row_keyed_semilattice(ms, q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ms=random_pieces(), q=st.integers(0, 3))
+    def test_matches_row_keyed_closure_on_random_pieces(self, ms, q):
+        assert_same_semilattice(intersection_semilattice(ms, q),
+                                row_keyed_semilattice(ms, q))
 
 
 class TestNamedFlats:

@@ -7,7 +7,7 @@ import pytest
 from conftest import DIRECTIONS, board_vertex_denominator, random_pieces
 from hypothesis import given, settings, strategies as st
 
-from riderpoly import bounds
+from riderpoly import bounds, flatpolytope
 from riderpoly.arrangement import (
     build_move_arrangement,
     hyperplane_row,
@@ -243,7 +243,7 @@ def _exhaustive_flat_denominator(flat, board):
     """Every nonsingular system of the flat's equations and the board rows
     of its pieces, in all 2 kappa coordinates, none skipped."""
     return board_vertex_denominator(
-        [(row, 0) for row in bounds.essential_rows(flat)],
+        [(row, 0) for row in flatpolytope.essential_rows(flat)],
         bounds.board_rows(board, flat.kappa), board, flat.kappa)
 
 
@@ -252,7 +252,7 @@ def test_pruned_flat_denominator_matches_exhaustive_at_q4(name, square,
                                                            monkeypatch):
     # Where the per-set bound skips the most, every class must still match.
     solved = []
-    solve = bounds._solve
+    solve = flatpolytope._solve
 
     def counted(*args):
         solved.append(args)
@@ -262,7 +262,7 @@ def test_pruned_flat_denominator_matches_exhaustive_at_q4(name, square,
     for flat in sl.iso_classes:
         expected = _exhaustive_flat_denominator(flat, square)
         with monkeypatch.context() as patched:
-            patched.setattr(bounds, "_solve", counted)
+            patched.setattr(flatpolytope, "_solve", counted)
             assert bounds.flat_polytope_denominator(flat, square) == \
                 expected, flat
     if name == "rook":

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
-from riderpoly import bounds
+from riderpoly import bounds, lattice
 from riderpoly.arrangement import intersection_semilattice
 from riderpoly.cli import _error, _parse_range, main
 from riderpoly.errors import CapacityError, RiderPolyError
@@ -473,6 +473,24 @@ class TestMobius:
         assert data["flat_count"] == 6
         mus = sorted(f["mobius"] for f in data["flats"])
         assert mus == [-1, -1, -1, -1, 1, 3]
+
+    @pytest.mark.parametrize("command", ["mobius", "count"])
+    def test_nine_queens_refused_before_the_closure(self, capsys,
+                                                    monkeypatch, command):
+        # At least 757756 flats (those whose blocks have at most two
+        # pieces), over the default 200000: refused before any elimination.
+        monkeypatch.setattr(lattice, "insert_row", None)
+        argv = {"mobius": ["mobius"],
+                "count": ["count", "--method", "reconstruction", "--n", "1"]}
+        start = perf_counter()
+        code, out = run_cli(capsys, *argv[command], "--piece", "queen",
+                            "--q", "9", "--format", "json")
+        assert perf_counter() - start < 1
+        assert code == 3
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["context"] == {"flats": "757756",
+                                            "budget": "200000"}
 
     def test_no_piece_report(self, capsys):
         code, out = run_cli(capsys, "mobius", "--piece", "queen", "--q", "0",

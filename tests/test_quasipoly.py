@@ -157,6 +157,26 @@ class TestEvaluate:
         assert lab == 2 * unlab == 8
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), period=st.integers(1, 4), degree=st.integers(0, 8),
+           n=st.integers(-60, 60))
+    def test_integer_horner_matches_fraction_horner(self, data, period,
+                                                    degree, n):
+        target = qp.Quasipolynomial(degree, period, tuple(
+            tuple(data.draw(COEFFS) for _ in range(degree + 1))
+            for _ in range(period)))
+        value = target.evaluate(n)
+        # Horner over the Fraction coefficients themselves, as reference.
+        reference = F(0)
+        for c in reversed(target.constituents[n % period]):
+            reference = reference * n + c
+        assert type(value) is F and value == reference
+
+    def test_scaled_is_over_the_least_denominator(self):
+        assert qp.scaled((F(1, 2), F(-2, 3), F(3))) == ([3, -4, 18], 6)
+        assert qp.scaled((F(0), F(5))) == ([0, 5], 1)
+
+
 class TestCoefficient:
     def test_two_queens_gamma0(self, two_queens):
         fitted = qp.fit(two_queens, 1)

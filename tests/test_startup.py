@@ -6,8 +6,9 @@ a bytecode cache (``PYTHONDONTWRITEBYTECODE``) it compiles every module it
 runs from source.  So ``import riderpoly.cli`` runs only what parsing and
 error reporting use, and each command runs only its own route: brute-force
 ``count`` the enumerator, ``fit`` and ``types`` that and the fits,
-``bounds`` and ``mobius`` the arrangement, and only the reconstruction
-route ``symbolic`` and ``flatcount``.  Nothing loads ``dataclasses`` (and
+``bounds`` the arrangement and the period chain, ``mobius`` the
+arrangement, and only the reconstruction route ``symbolic`` and
+``flatcount``, with ``flatpolytope`` but not ``bounds`` from the chain.  Nothing loads ``dataclasses`` (and
 the ``inspect`` it pulls in), and only ``riderpoly verify`` imports the
 ``verify`` battery.  An audit hook records the ``exec`` of each module's
 code, which happens whether or not bytecode is on disk.
@@ -108,7 +109,12 @@ CLI = {"riderpoly", "riderpoly.errors", "riderpoly.linalg",
        "riderpoly.geometry", "riderpoly.cli"}
 ENUMERATION = {"riderpoly.counting", "riderpoly.kernel"}
 FITS = ENUMERATION | {"riderpoly.quasipoly"}
-CHAIN = {"riderpoly.bounds", "riderpoly.arrangement"}
+ARRANGEMENT = {"riderpoly.arrangement", "riderpoly.lattice"}
+CHAIN = ARRANGEMENT | {"riderpoly.bounds", "riderpoly.flatpolytope"}
+# The Mobius route takes only the flat polytope denominators from the
+# period chain, so it does not run ``bounds``.
+RECONSTRUCTION = FITS | ARRANGEMENT | {
+    "riderpoly.symbolic", "riderpoly.flatcount", "riderpoly.flatpolytope"}
 
 
 def run_probe(probe, *argv):
@@ -136,9 +142,9 @@ def test_cli_import_loads_traced_layers_only():
     ("types --piece queen --q 2 --n 1:12 --census 1:3", 0, FITS),
     ("bounds --piece rook --q 2", 0, CHAIN),
     ("bounds --piece rook --q 2 --observe-period-n 10", 0, CHAIN | FITS),
-    ("mobius --piece queen --q 2", 0, {"riderpoly.arrangement"}),
+    ("mobius --piece queen --q 2", 0, ARRANGEMENT),
     ("count --method reconstruction --piece rook --q 2 --n 1:3", 0,
-     CHAIN | FITS | {"riderpoly.symbolic", "riderpoly.flatcount"}),
+     RECONSTRUCTION),
     ("count --piece queen", 2, set()),     # argparse: --q and --n missing
 ], ids=["count", "fit", "types", "bounds", "bounds-observed", "mobius",
         "reconstruction", "usage-error"])
@@ -169,5 +175,4 @@ def test_importing_a_route_runs_all_of_it():
     # modules import names from one another; importing the route then runs
     # every module it uses, before any of its work starts.
     ran = set(run_probe(ROUTE_PROBE)) - {"riderpoly.__init__"}
-    assert ran == (CLI - {"riderpoly"}) | CHAIN | FITS | {
-        "riderpoly.symbolic", "riderpoly.flatcount"}
+    assert ran == (CLI - {"riderpoly"}) | RECONSTRUCTION

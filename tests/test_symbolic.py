@@ -1,13 +1,15 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
-from conftest import board_vertex_denominator
+from conftest import RATIONAL_BOARDS, board_vertex_denominator, random_pieces
+from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import bounds, counting, quasipoly as qp, symbolic
 from riderpoly.arrangement import (
     alpha,
     intersection_semilattice,
+    is_connected,
     reconstruct_count,
     w_equal_flat,
 )
@@ -17,7 +19,7 @@ from riderpoly.counting import (
     count_series,
 )
 from riderpoly.errors import CapacityError, FitError, RiderPolyError
-from riderpoly.geometry import board_from_text, piece_from_text
+from riderpoly.geometry import BoardPolygon, board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
     count_qps,
@@ -280,3 +282,28 @@ class TestAssembledEqualsTableFit:
         assert fitted.reduced().period == 60
         assert qp.types_count(fitted) == 36
         assert reconstruct_count(sl, square, -1, budget) // 6 == 36
+
+
+class TestRouteAgreement:
+    """The assembly's u_q against the enumerator on random pieces and
+    rational boards."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(ms=random_pieces(), inequalities=RATIONAL_BOARDS,
+           q=st.sampled_from([3, 2, 1]))
+    def test_assembled_count_equals_brute_force(self, ms, inequalities, q):
+        board = BoardPolygon(inequalities)
+        sl = intersection_semilattice(ms, q)
+        # The assembly samples P(2q + 2) sizes, P the lcm of the board's
+        # and the connected classes' denominators, so a large P makes an
+        # example slow (P = 693 at q = 2 takes about 20 s), not wrong.
+        assume(lcm(board.denominator, *[
+            flat_polytope_denominator(rep, board)
+            for rep in sl.iso_classes if is_connected(rep)]) <= 12)
+        try:
+            unlabelled = count_qps(sl, board, budget=10**9)[q]
+        except CapacityError:
+            assume(False)
+        for n in range(0, 4):
+            assert unlabelled.evaluate(n) == count_nonattacking(
+                ms, board, q, n)[1], n
