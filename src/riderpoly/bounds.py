@@ -9,9 +9,9 @@ exact integer arithmetic: vertices come from fraction-free elimination.
 The inside-out denominator is taken flat by flat: by Beck and Zaslavsky
 (*Inside-out polytopes*, arXiv math/0309330) the vertices of the
 inside-out polytope are the vertices of board^q cut by each flat of the
-move arrangement, so one small scan per isomorphism class of flats
-replaces a scan of every 2q x 2q system of the grand matrix.  Those scans
-are ``flatpolytope.flat_polytope_denominator``, which the Mobius route
+move arrangement, so one small scan per connected isomorphism class of
+flats replaces a scan of every 2q x 2q system of the grand matrix.  Those
+scans are ``flatpolytope.class_denominators``, which the Mobius route
 also uses without compiling this module.  The grand matrix still sizes
 the budget, checked first (criterion 9: the nightrider q = 4 denominator
 is refused by default).
@@ -38,9 +38,10 @@ from .errors import (
     CapacityError,
     MoveSetError,
 )
-from .flatpolytope import flat_polytope_denominator
+# flat_polytope_denominator stays importable here for the tests, and
+# scan_vertices for perfbench/trace_job.py, which wraps it.
+from .flatpolytope import class_denominators, flat_polytope_denominator  # noqa: F401
 from .geometry import BoardPolygon, MoveSet
-# scan_vertices stays importable here: perfbench/trace_job.py wraps it.
 from .linalg import scan_vertices  # noqa: F401
 
 
@@ -87,10 +88,11 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
 
     Beck-Zaslavsky: the vertices are those of board^q cut by a flat U of
     the move arrangement.  That polytope is (board^kappa cut by U) times
-    board^(q - kappa) over the pieces U does not involve, so the lcm is
-    that of ``board.denominator`` and ``flat_polytope_denominator`` over
-    the flats; isomorphic flats differ by a relabelling of pieces, so one
-    representative per class suffices.
+    board^(q - kappa) over the pieces U does not involve, and the first
+    factor is the product of those of U's connected components, so the
+    lcm is that of ``board.denominator`` and ``flat_polytope_denominator``
+    over the connected flats, one per iso class
+    (``flatpolytope.class_denominators``).
 
     The budget counts the 2q-row systems of the grand matrix, as a full
     vertex scan would solve them, and is checked before the closure, so
@@ -101,9 +103,7 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
         raise CapacityError(
             f"{systems} candidate systems exceed budget {budget}",
             systems=systems, budget=budget)
-    sl = intersection_semilattice(ms, q)
-    return lcm(board.denominator, *[
-        flat_polytope_denominator(rep, board) for rep in sl.iso_classes])
+    return class_denominators(intersection_semilattice(ms, q), board)[1]
 
 
 def lcmd_direct(matrix, budget: int = DEFAULT_MINOR_BUDGET) -> int:

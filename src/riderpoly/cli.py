@@ -127,13 +127,13 @@ def _check_options(args) -> None:
 
 
 def _fit_table(args, table):
-    from .quasipoly import detect_period, fit
-    if args.period is None:
-        period = detect_period(table, args.p_max,
-                               denominator_bound=args.denominator_bound)
-    else:
-        period = args.period
-    return fit(table, period), period
+    from .quasipoly import check_ehrhart, detect_period, fit
+    if args.period is not None:
+        return fit(table, args.period)
+    fitted = detect_period(table, args.p_max,
+                           denominator_bound=args.denominator_bound)
+    check_ehrhart(fitted, table.q, table.board.area)
+    return fitted
 
 
 def cmd_fit(args) -> int:
@@ -144,17 +144,17 @@ def cmd_fit(args) -> int:
     n_from, n_to = _parse_range("--n", args.n)
     table = count_series(ms, board, args.q, n_from, n_to,
                          budget=args.budget)
-    fitted, period = _fit_table(args, table)
+    fitted = _fit_table(args, table)
     if args.column == "labelled":
         fitted = fit_values({n: table.row(n)[0] for n in table.ns()},
-                            period, fitted.degree)
+                            fitted.period, fitted.degree)
     label = f"empirically verified on n in [{n_from},{n_to}]"
     data = {
         "piece": ms.label,
         "board": board.as_text(),
         "q": args.q,
         "column": args.column,
-        "period": period,
+        "period": fitted.period,
         "degree": fitted.degree,
         "quasipolynomial": fitted.to_json_dict(),
         "verified_on": [n_from, n_to],
@@ -162,7 +162,7 @@ def cmd_fit(args) -> int:
     }
     _emit(args, data, [
         f"{ms.label} on {board.as_text()}, q={args.q}, column {args.column}",
-        f"period {period}, degree {fitted.degree}   ({label})",
+        f"period {fitted.period}, degree {fitted.degree}   ({label})",
         pretty(fitted),
     ])
     return 0
@@ -191,7 +191,7 @@ def cmd_types(args) -> int:
         for row in census:
             print(f"  census n={row['n']}: unlabelled {row['unlabelled_types']} "
                   f"labelled {row['labelled_types']}")
-    fitted, period = _fit_table(args, table)
+    fitted = _fit_table(args, table)
     unlabelled_types = types_count(fitted)
     data = {
         "piece": ms.label,
@@ -201,8 +201,8 @@ def cmd_types(args) -> int:
         "types": {
             "unlabelled": str(unlabelled_types),
             "labelled": str(factorial(args.q) * unlabelled_types),
-            "from": f"fit at n=-1 (period {period}, degree {fitted.degree}, "
-                    f"verified on n in [{n_from},{n_to}])",
+            "from": f"fit at n=-1 (period {fitted.period}, degree "
+                    f"{fitted.degree}, verified on n in [{n_from},{n_to}])",
         },
     }
     _emit(args, data, [
@@ -242,7 +242,7 @@ def cmd_bounds(args) -> int:
                              budget=args.budget)
         report["period_observed"] = detect_period(
             table, args.p_max,
-            denominator_bound=report["denominator"])
+            denominator_bound=report["denominator"]).period
         report["method"]["period"] = "table fit"
     _emit(args, report, [
         f"{ms.label} on {board.as_text()}, q={args.q}",

@@ -48,25 +48,32 @@ def check_range(n_from: int, n_to: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def check_size(board: BoardPolygon, n: int, budget: int, q: int,
-               route: str) -> int:
-    """N, the number of cells at size n, once the work there fits the budget.
-
-    Every route calls this gate for each size it will walk before it lists
-    any cell, and it lists none (N comes from column ranges).  It refuses,
-    in this order, the walk over the bounding box (``geometry.region_at``);
-    for q >= 1 pieces the envelope, N^min(q, 3) for the ``"alpha"`` flat
-    counts, and for the kernel (``"count"``, ``"census"``), whose last two
-    levels are popcounts, at least the C(N, k) nonattacking prefixes of
-    k = 1..q-1 cells it may step through; and for ``"census"``, which
-    visits every placement, C(N, q).
-    """
+def check_walk(board: BoardPolygon, n: int, budget: int) -> None:
+    """Refuse a walk over the bounding box at size n
+    (``geometry.region_at``) that exceeds the budget."""
     (x_lo, x_hi, y_lo, y_hi), _ = region_at(board, n)
     walk = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
     if walk > budget:
         raise CapacityError(
             f"board walk of {walk} cells exceeds budget {budget} at n={n}",
             n=n, cells=walk, budget=budget)
+
+
+def check_size(board: BoardPolygon, n: int, budget: int, q: int,
+               route: str) -> int:
+    """N, the number of cells at size n, once the work there fits the budget.
+
+    Every route calls this gate for each size it will walk before it lists
+    any cell, and it lists none (N comes from column ranges).  It refuses,
+    in this order, the walk (``check_walk``, all the Mobius assembly
+    checks at a size it only evaluates); for q >= 1 pieces the envelope,
+    N^min(q, 3) for the ``"alpha"`` flat counts, and for the kernel
+    (``"count"``, ``"census"``), whose last two levels are popcounts, at
+    least the C(N, k) nonattacking prefixes of k = 1..q-1 cells it may
+    step through; and for ``"census"``, which visits every placement,
+    C(N, q).
+    """
+    check_walk(board, n, budget)
     cells = cell_count(board, n)
     if q == 0:
         return cells

@@ -3,10 +3,11 @@
 A flat U of the move arrangement cuts board^kappa, kappa the pieces U
 involves, in a polytope; the lcm of its vertex-coordinate denominators
 bounds the period of U's lattice-point count (``alpha``), and over one
-flat per iso class it gives the inside-out denominator
-(``bounds.denominator``).  The Mobius route (``symbolic``) needs only
-this from the period chain, so it lives apart from ``bounds``, and that
-route does not compile the full-scan and minor machinery.
+flat per connected iso class it gives the inside-out denominator
+(``class_denominators``), which is both ``bounds.denominator`` and the
+period of the Mobius assembly (``symbolic.count_qps``).  The Mobius route
+needs only this from the period chain, so it lives apart from ``bounds``,
+and that route does not compile the full-scan and minor machinery.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 
-from .arrangement import Flat
+from .arrangement import Flat, Semilattice, is_connected
 from .geometry import BoardPolygon
 from .linalg import _bases, _solve
 
@@ -82,3 +83,13 @@ def flat_polytope_denominator(flat: Flat, board: BoardPolygon) -> int:
             for e, nums in _solve(groups, d, affine, feasible):
                 result = lcm(result, denom(e * scale, [nums]))
     return result
+
+
+def class_denominators(sl: Semilattice, board: BoardPolygon):
+    """Each connected iso class's representative with its denominator,
+    and the lcm of those and ``board.denominator``, the inside-out
+    denominator: a disconnected flat's polytope is a product of connected
+    ones', and the bottom's is board^0."""
+    classes = [(rep, flat_polytope_denominator(rep, board))
+               for rep in sl.iso_classes if is_connected(rep)]
+    return classes, lcm(board.denominator, *[p for _, p in classes])

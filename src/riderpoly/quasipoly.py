@@ -183,13 +183,13 @@ def fit(table, period: int) -> Quasipolynomial:
 
 
 def detect_period(table, p_max: int,
-                  denominator_bound: int | None = None) -> int:
-    """Smallest period <= p_max whose degree-2q fit of the unlabelled rows
-    validates.
+                  denominator_bound: int | None = None) -> Quasipolynomial:
+    """The degree-2q fit of the unlabelled rows at the smallest period
+    <= p_max where it validates; its ``period`` is the detected one.
 
     When a denominator bound is supplied the search is restricted to its
     divisors (the quasipolynomial period divides the inside-out
-    denominator).
+    denominator).  The Ehrhart form is not checked (see ``fit``).
     """
     if denominator_bound is not None:
         candidates = [p for p in divisors(denominator_bound) if p <= p_max]
@@ -198,8 +198,7 @@ def detect_period(table, p_max: int,
     failures = []
     for p in candidates:
         try:
-            fit_values(table.rows, p, 2 * table.q)
-            return p
+            return fit_values(table.rows, p, 2 * table.q)
         except (ValidationMismatchError, InsufficientDataError) as exc:
             failures.append(f"p={p}: {exc}")
     raise PeriodNotFoundError(

@@ -9,39 +9,42 @@ the count is a sum over set partitions of the pieces of per-block terms.
 Each connected class's alpha is an Ehrhart quasipolynomial whose period
 divides the flat polytope's vertex denominator, fitted exactly (with
 held-out validation) from a window of sizes around n = 0, the negative
-ones by Ehrhart-Macdonald reciprocity.  The formula is then run in
-integers at every size of one window, whose period is the lcm of those
-denominators and the board's, and each count is fitted from its values
-like any table (``quasipoly.fit_values``), so its held-out rows validate
-the assembly.  That reaches count tables brute force cannot touch (the
-q = 4 table on the square board, for instance).  Every (kappa, n) the
-alpha fits sample, and every size of the window, is gated once
-(``counting.check_size``) before the first flat is counted, and every
-series is cross-checked against brute force before it is returned.
-Only this route counts flats, so importing it compiles ``flatcount`` too,
-at start-up, before the closure is built, rather than inside the first
-flat count; each connected class's count plan (``flatcount.count_plan``)
-is made once and serves every size its fit samples.  Of the period chain
-it takes only the flat polytope denominators (``flatpolytope``), so it
-does not compile ``bounds``.
+ones by Ehrhart-Macdonald reciprocity, and so is the cell count N.  The
+formula is then run in integers at every size of one window, whose
+period is the inside-out denominator, and each count is fitted from its
+values like any table (``quasipoly.fit_values``), so its held-out rows
+validate the assembly.  That reaches count tables brute force cannot
+touch (the q = 4 table on the square board, for instance).  Every
+(kappa, n) a fit samples is gated once (``counting.check_size``), and
+every size of the window by its walk (``counting.check_walk``), before
+the first flat is counted, and every series is cross-checked against
+brute force before it is returned.  Only this route counts flats, so
+importing it compiles ``flatcount`` too, at start-up, before the closure
+is built, rather than inside the first flat count; each connected
+class's count plan (``flatcount.count_plan``) is made once and serves
+every size its fit samples.  Of the period chain it takes only the flat
+polytope denominators (``flatpolytope``), so it does not compile
+``bounds``.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import flatcount
-from .arrangement import Flat, Semilattice, alpha, is_connected
+from .arrangement import Flat, Semilattice, alpha
 from .counting import (
     DEFAULT_BUDGET,
     METHOD_RECONSTRUCTION,
     CountTable,
     check_range,
     check_size,
+    check_walk,
     count_series,
 )
 from .errors import RiderPolyError
-from .flatpolytope import flat_polytope_denominator
+# perfbench/trace_job.py wraps flat_polytope_denominator under this name.
+from .flatpolytope import class_denominators, flat_polytope_denominator  # noqa: F401
 from .geometry import BoardPolygon
 from .quasipoly import (
     Quasipolynomial,
@@ -86,41 +89,48 @@ def count_qps(sl: Semilattice, board: BoardPolygon,
     connected flats on pieces 0..k-1, the labelled count is
     a_m = sum over k of C(m-1, k-1) * c_k * a_{m-k}, and u_m = a_m / m!.
     A connected class on k pieces is spread evenly over the C(q, k) piece
-    subsets, so each contributes size / C(q, k) flats to c_k.  The
-    recurrence runs in integers at each of the P*(2q + 2) sizes around 0,
-    P the lcm of the board's and every class's denominator, with each
-    alpha read off its fit; u_m is fitted from those values at period P
-    and degree 2m.  Every class's whole alpha window is checked first, in
-    class order, each distinct (kappa, n) where it first occurs, then the
-    window's sizes, all before the first flat is counted.
+    subsets, so each contributes size / C(q, k) flats to c_k.  N and
+    each alpha are read off their fits.  The recurrence runs in integers
+    at each of the P*(2q + 2) sizes around 0, P the inside-out denominator
+    (``flatpolytope.class_denominators``); u_m is fitted from those values
+    at period P and degree 2m.  Every class's whole alpha window is
+    checked first, in class order, each distinct (kappa, n) where it
+    first occurs, then the window's walks, then N's window, all before
+    the first flat is counted.
     """
     q = sl.q
-    classes, gated, period = [], set(), board.denominator
-    for rep in sl.iso_classes:
-        if not is_connected(rep):
-            continue
+    classes, period = class_denominators(sl, board)
+    gated, weighted = set(), []
+    for rep, p in classes:
         share, rest = divmod(len(rep.orbit), comb(q, rep.kappa))
         if rest:
             raise RuntimeError("a connected class is uneven over piece subsets")
-        p = flat_polytope_denominator(rep, board)
         for n in _window(2 * rep.kappa - rep.codim, p):
             if (rep.kappa, n) not in gated:
                 gated.add((rep.kappa, n))
                 check_size(board, n, budget, rep.kappa, "alpha")
-        classes.append((rep, share * rep.mobius, p))
-        period = lcm(period, p)
+        weighted.append((rep, p, share * rep.mobius))
     window = _window(2 * q, period)
-    cells = {n: check_size(board, n, budget, 0, "count") for n in window}
+    for n in window:
+        check_walk(board, n, budget)
+    fits = []
+    if q:
+        # c_1 = N, from the 4 * board.denominator sizes around 0, inside
+        # the window since the denominator divides P; q = 0 has no c_1.
+        cells = {n: check_size(board, n, budget, 0, "count")
+                 for n in _window(2, board.denominator)}
+        fits.append((1, 1, fit_values(cells, board.denominator, 2)))
+    fits += [(rep.kappa, weight, alpha_qp(sl, rep, board, p))
+             for rep, p, weight in weighted]
     # Each constituent once as integer coefficients over their lcm.
-    terms = [(rep.kappa, weight,
-              [scaled(cons) for cons in alpha_qp(sl, rep, board, p).constituents])
-             for rep, weight, p in classes]
+    terms = [(kappa, weight, [scaled(cons) for cons in fitted.constituents])
+             for kappa, weight, fitted in fits]
     values = [{} for _ in range(q + 1)]
     for n in window:
-        c = [0, cells[n]] + [0] * (q - 1)
+        c = [0] * (q + 1)
         for kappa, weight, constituents in terms:
             coeffs, den = constituents[n % len(constituents)]
-            # exact: alpha is an integer at every n
+            # exact: N and alpha are integers at every n
             c[kappa] += weight * (poly_eval(coeffs, n) // den)
         a = [1]
         for m in range(1, q + 1):

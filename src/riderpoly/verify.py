@@ -104,7 +104,7 @@ def check_two_queens_formula(suite: PaperSuite) -> list[CheckResult]:
 def check_two_nightriders(suite: PaperSuite) -> list[CheckResult]:
     """Criterion 2: period detection and the two-nightriders constituents."""
     table = suite.table("nightrider", 2, 20)
-    period = qp.detect_period(table, 6)
+    period = qp.detect_period(table, 6).period
     results = [CheckResult("2a. two-nightriders detected period = 2", period == 2)]
     fitted = qp.fit(table, 2)
     base = tuple(_frac(s) for s in ("0", "-11/12", "3/2", "-5/6", "1/2"))
@@ -137,9 +137,9 @@ def check_two_move_types(suite: PaperSuite) -> list[CheckResult]:
         for q in (2, 3):
             denom = bounds.denominator(suite.piece(name), suite.board, q)
             table = suite.table(name, q, 2 * (2 * q + 2))
-            period = qp.detect_period(table, max(denom, 2),
+            fitted = qp.detect_period(table, max(denom, 2),
                                       denominator_bound=denom)
-            fitted = qp.fit(table, period)
+            qp.check_ehrhart(fitted, q, table.board.area)
             types = qp.types_count(fitted)
             results.append(CheckResult(
                 f"4. {name} q={q}: types from fit = {factorial(q)}",
@@ -250,23 +250,16 @@ def check_bounds_table(suite: PaperSuite) -> list[CheckResult]:
         "7. lcmd(M_nightrider) = 60",
         bounds.lcmd_direct(bounds.moves_matrix(nightrider)) == 60))
 
-    bishop_denom = bounds.denominator(bishop, board, 3)
-    observed = {
-        ("bishop", 3): qp.detect_period(suite.table("bishop", 3, 16), 6,
-                                        denominator_bound=bishop_denom),
-        ("queen", 3): qp.detect_period(suite.table("queen", 3, 20), 6,
-                                       denominator_bound=denoms[("queen", 3)]),
-        ("nightrider", 2): qp.detect_period(suite.table("nightrider", 2, 20), 6,
-                                            denominator_bound=denoms[("nightrider", 2)]),
-    }
-    chain_denoms = {("bishop", 3): bishop_denom,
+    chain_denoms = {("bishop", 3): bounds.denominator(bishop, board, 3),
                     ("queen", 3): denoms[("queen", 3)],
                     ("nightrider", 2): denoms[("nightrider", 2)]}
-    for key, period in observed.items():
-        ok = period == 2 and chain_denoms[key] % period == 0
+    table_rows = {("bishop", 3): 16, ("queen", 3): 20, ("nightrider", 2): 20}
+    for key, denom in chain_denoms.items():
+        period = qp.detect_period(suite.table(*key, table_rows[key]), 6,
+                                  denominator_bound=denom).period
+        ok = period == 2 and denom % period == 0
         results.append(CheckResult(
-            f"7. observed period {key} = 2 divides denominator {chain_denoms[key]}",
-            ok))
+            f"7. observed period {key} = 2 divides denominator {denom}", ok))
     return results
 
 

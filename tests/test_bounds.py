@@ -5,17 +5,19 @@ from math import comb, lcm
 
 import pytest
 from conftest import DIRECTIONS, board_vertex_denominator, random_pieces
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import bounds, flatpolytope
 from riderpoly.arrangement import (
     build_move_arrangement,
     hyperplane_row,
     intersection_semilattice,
+    is_connected,
 )
 from riderpoly.errors import CapacityError, MoveSetError
 from riderpoly.geometry import board_from_text, piece_from_text
 from riderpoly.linalg import bareiss_determinant
+from riderpoly.symbolic import count_qps
 
 
 def eta_transpose(q: int) -> tuple[tuple[int, ...], ...]:
@@ -85,6 +87,27 @@ class TestDenominator:
     def test_square_board_values(self, name, q, expected, square):
         ms = piece_from_text(name)
         assert bounds.denominator(ms, square, q) == expected
+
+    # q = 4 has disconnected flats (two separate pairs of pieces, say),
+    # whose polytopes are products of connected ones: the lcm over the
+    # connected classes is the lcm over every class, kept here as the
+    # reference, board by board.
+    @pytest.mark.parametrize("name,expected", [
+        ("queen", (6, 12, 840)), ("rook", (1, 2, 2)), ("bishop", (2, 4, 12)),
+        ("semiqueen", (2, 2, 420)), ("-1,2;-2,1;1,1", (120, 120, 1680))],
+        ids=["queen", "rook", "bishop", "semiqueen", "-1,2;-2,1;1,1"])
+    def test_q4_connected_classes_suffice(self, name, expected):
+        sl = intersection_semilattice(piece_from_text(name), 4)
+        assert any(rep.kappa and not is_connected(rep)
+                   for rep in sl.iso_classes)
+        boards = ("square", "rect:5/2,1", "poly:-1,0,0;0,-1,0;2,1,3")
+        for board_text, value in zip(boards, expected):
+            board = board_from_text(board_text)
+            every_class = lcm(board.denominator, *[
+                flatpolytope.flat_polytope_denominator(rep, board)
+                for rep in sl.iso_classes])
+            assert flatpolytope.class_denominators(sl, board)[1] == \
+                every_class == value, board_text
 
     def test_budget_abort(self, nightrider, square):
         with pytest.raises(CapacityError):
@@ -367,9 +390,25 @@ class TestDivisibilityChain:
         denom = bounds.denominator(ms, square, q)
         lcmd_val = bounds.lcmd_direct(bounds.attack_rows(ms, q))
         table = count_series(ms, square, q, 1, n_max)
-        period = detect_period(table, denom, denominator_bound=denom)
+        period = detect_period(table, denom, denominator_bound=denom).period
         assert denom % period == 0
         assert lcmd_val % denom == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(ms=random_pieces(), q=st.sampled_from([3, 2, 1]))
+    def test_assembled_period_divides_denominator_divides_lcmd(self, ms, q):
+        # The assembled count's reduced period is the observed one.  Its
+        # window grows with the denominator, so large ones are skipped.
+        square = board_from_text("square")
+        denom = bounds.denominator(ms, square, q)
+        assume(denom <= 12)
+        try:
+            assembled = count_qps(intersection_semilattice(ms, q), square,
+                                  budget=10**9)[q]
+        except CapacityError:
+            assume(False)
+        assert denom % assembled.reduced().period == 0
+        assert bounds.lcmd_direct(bounds.attack_rows(ms, q)) % denom == 0
 
     def test_report_shape(self, bishop, square):
         report = bounds.bounds_report(bishop, square, 3)

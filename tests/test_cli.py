@@ -125,7 +125,8 @@ class TestCount:
         assert data["error"]["context"] == {
             "n": "-750", "envelope": "618475290624", "budget": "10000000000"}
 
-    # The reconstruction route's first walk is the board count fit at n=0.
+    # The reconstruction route's first walk is in its first alpha window,
+    # at n = -2: the closed 1-fold dilate, the same box as n = 0.
     @pytest.mark.parametrize("method, cells", [("brute", 6001 * 6001),
                                                ("reconstruction", 3001 * 3001)],
                              ids=["brute", "reconstruction"])

@@ -122,6 +122,22 @@ class TestCountSeries:
             assert exc.value.context == {"n": n, "envelope": envelope,
                                          "budget": envelope - 1}
 
+    def test_walk_refused_before_any_column(self, square, monkeypatch):
+        # check_size's first test is check_walk, read off the bounding box
+        # alone: the 7 x 7 box of n = 5 is refused with no column counted.
+        def no_columns(*args):
+            raise AssertionError("columns counted before the walk check")
+
+        monkeypatch.setattr(counting, "cell_count", no_columns)
+        assert counting.check_walk(square, 5, 49) is None
+        for gate in (counting.check_walk,
+                     lambda *args: counting.check_size(*args, 2, "count")):
+            with pytest.raises(CapacityError) as exc:
+                gate(square, 5, 48)
+            assert str(exc.value) == (
+                "board walk of 49 cells exceeds budget 48 at n=5")
+            assert exc.value.context == {"n": 5, "cells": 49, "budget": 48}
+
     def test_non_nesting_board_matches_square(self, queen, square):
         # A translate of the square: the same rows, one run per size.
         table = count_series(queen, board_from_text(OFF_ORIGIN), 2, 1, 6)

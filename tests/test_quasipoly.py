@@ -107,7 +107,7 @@ class TestLabelledColumn:
             else:
                 assert got == expected
         try:
-            period = qp.detect_period(table, 3)
+            period = qp.detect_period(table, 3).period
         except PeriodNotFoundError:
             period = None
         # A search on the labelled column takes the same first period.
@@ -119,13 +119,19 @@ class TestLabelledColumn:
 
 class TestDetectPeriod:
     def test_queen_is_one(self, two_queens):
-        assert qp.detect_period(two_queens, 4) == 1
+        assert qp.detect_period(two_queens, 4).period == 1
 
     def test_nightrider_is_two(self, two_nightriders):
-        assert qp.detect_period(two_nightriders, 4) == 2
+        assert qp.detect_period(two_nightriders, 4).period == 2
+
+    def test_returns_the_validated_fit(self, two_nightriders):
+        # The fit it validated, the same as a fit at the detected period.
+        assert (qp.detect_period(two_nightriders, 4)
+                == qp.fit(two_nightriders, 2))
 
     def test_divisor_restriction(self, two_nightriders):
-        assert qp.detect_period(two_nightriders, 6, denominator_bound=2) == 2
+        assert qp.detect_period(two_nightriders, 6,
+                                denominator_bound=2).period == 2
 
     def test_not_found_reports_residuals(self, two_nightriders):
         with pytest.raises(PeriodNotFoundError):

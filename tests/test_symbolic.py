@@ -1,15 +1,19 @@
 from fractions import Fraction as F
-from math import factorial, lcm
+from math import factorial
 
 import pytest
-from conftest import RATIONAL_BOARDS, board_vertex_denominator, random_pieces
+from conftest import (
+    PIECES,
+    RATIONAL_BOARDS,
+    board_vertex_denominator,
+    random_pieces,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import bounds, counting, quasipoly as qp, symbolic
 from riderpoly.arrangement import (
     alpha,
     intersection_semilattice,
-    is_connected,
     reconstruct_count,
     w_equal_flat,
 )
@@ -19,6 +23,7 @@ from riderpoly.counting import (
     count_series,
 )
 from riderpoly.errors import CapacityError, FitError, RiderPolyError
+from riderpoly.flatpolytope import class_denominators
 from riderpoly.geometry import BoardPolygon, board_from_text, piece_from_text
 from riderpoly.symbolic import (
     alpha_qp,
@@ -284,6 +289,59 @@ class TestAssembledEqualsTableFit:
         assert reconstruct_count(sl, square, -1, budget) // 6 == 36
 
 
+class TestAssemblyPeriod:
+    """The assembly's window period is the inside-out denominator, and it
+    counts cells only at the sizes its fits sample."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("name", PIECES)
+    def test_period_is_denominator_on_square(self, name, q, square):
+        ms = piece_from_text(name)
+        # The nightrider's q = 3 alpha windows need more than the default.
+        assembled = count_qps(intersection_semilattice(ms, q), square,
+                              budget=10**14)[q]
+        assert assembled.period == bounds.denominator(ms, square, q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(PIECES), inequalities=RATIONAL_BOARDS,
+           q=st.sampled_from([3, 2, 1]))
+    def test_period_is_denominator_on_rational_boards(self, name,
+                                                      inequalities, q):
+        ms = piece_from_text(name)
+        board = BoardPolygon(inequalities)
+        denom = bounds.denominator(ms, board, q)
+        # The window grows with the period (see TestRouteAgreement).
+        assume(denom <= 12)
+        try:
+            assembled = count_qps(intersection_semilattice(ms, q), board,
+                                  budget=10**9)[q]
+        except CapacityError:
+            assume(False)
+        assert assembled.period == denom
+
+    @pytest.mark.parametrize("board_text", ["square", "rect:5/2,1"])
+    def test_cells_counted_only_in_fitted_windows(self, nightrider,
+                                                  board_text, monkeypatch):
+        board = board_from_text(board_text)
+        sl = intersection_semilattice(nightrider, 2)
+        classes, period = class_denominators(sl, board)
+        fitted = set(symbolic._window(2, board.denominator))
+        for rep, p in classes:
+            fitted.update(symbolic._window(2 * rep.kappa - rep.codim, p))
+        window = set(symbolic._window(4, period))
+        assert fitted < window
+        counted = []
+        cell_count = counting.cell_count
+
+        def recorded(board, n):
+            counted.append(n)
+            return cell_count(board, n)
+
+        monkeypatch.setattr(counting, "cell_count", recorded)
+        count_qps(sl, board)
+        assert counted and set(counted) <= fitted
+
+
 class TestRouteAgreement:
     """The assembly's u_q against the enumerator on random pieces and
     rational boards."""
@@ -296,10 +354,8 @@ class TestRouteAgreement:
         sl = intersection_semilattice(ms, q)
         # The assembly samples P(2q + 2) sizes, P the lcm of the board's
         # and the connected classes' denominators, so a large P makes an
-        # example slow (P = 693 at q = 2 takes about 20 s), not wrong.
-        assume(lcm(board.denominator, *[
-            flat_polytope_denominator(rep, board)
-            for rep in sl.iso_classes if is_connected(rep)]) <= 12)
+        # example slow (P = 693 at q = 2 takes about 5 s), not wrong.
+        assume(class_denominators(sl, board)[1] <= 12)
         try:
             unlabelled = count_qps(sl, board, budget=10**9)[q]
         except CapacityError:
