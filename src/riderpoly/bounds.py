@@ -1,10 +1,15 @@
 """Period bounds: inside-out vertex denominators and subdeterminant lcms.
 
-Three tiers, each an upper bound for the one before: the observed period
-of the fitted counting quasipolynomial divides the denominator (lcm of
-vertex-coordinate denominators of the inside-out polytope), which divides
-the lcm of subdeterminants of the attack-equation matrix.  Everything is
-exact integer arithmetic: vertices come from fraction-free elimination.
+Three tiers: the observed period of the fitted counting quasipolynomial
+divides the denominator (lcm of vertex-coordinate denominators of the
+inside-out polytope), which divides the lcm of the subdeterminants of the
+attack rows and the board's rows together.  ``lcmd_direct`` takes the
+attack rows alone.  On the square, whose facet rows are unit vectors,
+every minor that uses a board row is, up to sign, a minor of the attack
+rows, so the denominator divides it; on other boards it need not (bishop
+q = 4 on ``poly:-1,0,0;0,-1,0;2,1,3``: denominator 12, lcmd 8), and
+``bounds_report`` notes when it does not.  Everything is exact integer
+arithmetic: vertices come from fraction-free elimination.
 
 The inside-out denominator is taken flat by flat: by Beck and Zaslavsky
 (*Inside-out polytopes*, arXiv math/0309330) the vertices of the
@@ -74,8 +79,9 @@ def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
     First one attack row per (pair, move), right-hand side zero: the move
     normal at piece i and its negation at piece j.  Then the board rows
     of every piece, from ``board_rows``.  Its 2q-row systems size the
-    budget of ``denominator``; scanned in full, it is the reference the
-    per-flat route is tested against.
+    budget of ``denominator``, which counts its rows without building it;
+    scanned in full, it is the reference the per-flat route is tested
+    against.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -95,10 +101,14 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
     (``flatpolytope.class_denominators``).
 
     The budget counts the 2q-row systems of the grand matrix, as a full
-    vertex scan would solve them, and is checked before the closure, so
-    the nightrider q = 4 refusal of criterion 9 is unchanged.
+    vertex scan would solve them, from its C(q, 2) |M| + q |board rows|
+    rows, and is checked before the closure, so the nightrider q = 4
+    refusal of criterion 9 is unchanged.
     """
-    systems = comb(len(grand_matrix(ms, board, q)), 2 * q)
+    if q < 1:
+        raise ValueError("q must be positive")
+    rows = comb(q, 2) * len(ms) + q * len(board.rows)
+    systems = comb(rows, 2 * q)
     if systems > budget:
         raise CapacityError(
             f"{systems} candidate systems exceed budget {budget}",
@@ -200,6 +210,11 @@ def bounds_report(ms: MoveSet, board: BoardPolygon, q: int,
         lcmd_val = None
         exhaustive = False
         notes.append(f"lcmd skipped: {exc}")
+    if denom and lcmd_val and lcmd_val % denom:
+        notes.append(
+            f"lcmd {lcmd_val} is not a multiple of the denominator {denom}: "
+            "lcmd takes the minors of the attack rows alone, without the "
+            "board's rows, so denominator | lcmd does not hold on this board")
     closed_form = None
     if len(ms) == 2:
         closed_form = lcmd_closed_form_two_moves(ms, q)

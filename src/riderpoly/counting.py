@@ -15,7 +15,7 @@ from bisect import bisect_right
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .kernel import count_nonattacking_subsets, iter_nonattacking_subsets
+from .kernel import count_nonattacking_subsets, first_signatures
 from .errors import (
     DEFAULT_BUDGET,
     AttackingConfigurationError,
@@ -68,10 +68,14 @@ def check_size(board: BoardPolygon, n: int, budget: int, q: int,
     in this order, the walk (``check_walk``, all the Mobius assembly
     checks at a size it only evaluates); for q >= 1 pieces the envelope,
     N^min(q, 3) for the ``"alpha"`` flat counts, and for the kernel
-    (``"count"``, ``"census"``), whose last two levels are popcounts, at
-    least the C(N, k) nonattacking prefixes of k = 1..q-1 cells it may
-    step through; and for ``"census"``, which visits every placement,
-    C(N, q).
+    (``"count"``, ``"census"``) the larger of that and the C(N, k)
+    subsets of k = 1..q-1 cells, the scale of the kernel's work: a count
+    walks the attack edges (fewer than N^2) once for q <= 4 and, past
+    that, those among the cells left free by each nonattacking set of
+    q - 3 cells, and the census steps through the nonattacking prefixes
+    of up to q - 1 cells.
+    For ``"census"``, whose last level visits every placement, it also
+    refuses C(N, q).
     """
     check_walk(board, n, budget)
     cells = cell_count(board, n)
@@ -282,7 +286,9 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int,
     C(N, q) placements checked too: every size is checked before any cell
     is listed, q = 0 realizes the empty placement's one type, and each run
     of nested sizes is enumerated once.  A placement realizes its types
-    from the size where its last cell appears.  Its labelled types are the
+    from the size where its last cell appears, so the kernel's
+    ``first_signatures``, one placement per comparison signature with the
+    least last cell, stands for all.  Its labelled types are the
     comparison signatures of its q! orderings, and the least of them names
     its unlabelled type.  Both counts are exact censuses of those
     signatures.
@@ -295,16 +301,15 @@ def census_types(ms: MoveSet, board: BoardPolygon, q: int,
         keys = attack_keys(ms, cells)
         cell_keys = list(zip(*keys))
         stops = [end for _, end in ends]
-        # Per size, the piece keys of one placement per signature found.
-        found = [{} for _ in ends]
-        for combo in iter_nonattacking_subsets(keys, q):
-            piece_keys = [cell_keys[i] for i in combo]
-            found[bisect_right(stops, combo[-1])].setdefault(
-                _signature(piece_keys), piece_keys)
+        # Per size, the piece keys of the placements first found there.
+        found = [[] for _ in ends]
+        for combo in first_signatures(keys, q).values():
+            found[bisect_right(stops, combo[-1])].append(
+                [cell_keys[i] for i in combo])
         labelled, unlabelled = set(), set()
         for (n, _), placements in zip(ends, found):
-            for sig, piece_keys in placements.items():
-                if sig not in labelled:
+            for piece_keys in placements:
+                if _signature(piece_keys) not in labelled:
                     orbit = {_signature(order)
                              for order in permutations(piece_keys)}
                     labelled |= orbit

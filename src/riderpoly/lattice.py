@@ -10,35 +10,40 @@ compile sets much of its peak memory.
 
 from __future__ import annotations
 
-from math import comb, factorial, gcd, perm
+from math import comb, gcd, perm
 
 from .errors import CapacityError
 from .linalg import insert_row
+
+
+def _partition_sum(conn: list[int], q: int) -> int:
+    """Sum over the set partitions of q pieces of the product of conn[|B|]
+    over the blocks B, blocks of len(conn) pieces or more counting 0."""
+    sums = [1]
+    for m in range(1, q + 1):
+        # The block of the m-th piece has j pieces, j - 1 of them earlier.
+        sums.append(sum(comb(m - 1, j - 1) * conn[j] * sums[m - j]
+                        for j in range(1, min(m, len(conn) - 1) + 1)))
+    return sums[q]
 
 
 def close(ms, q: int, hyperplanes, rows, max_flats: int) -> dict[int, tuple]:
     """Every flat of the arrangement, as its mask mapped to its rows.
 
     ``hyperplanes`` are the arrangement's (i, j, r) tuples and ``rows``
-    their integer rows, in the same order.  ``max_flats`` is checked first against a count that needs no closure:
-    the flats whose slope-graph blocks have at most two pieces each, one
-    per matching of the pieces and choice, per matched pair, of a move
-    line or (with two moves or more) of coincidence.  A flat is then
-    keyed by its hyperplane mask, the set of hyperplanes containing it,
-    and keeps an integer basis of its null space.  Hyperplane h restricted
-    to flat F is the vector of its values on F's basis, and h and g cut F
-    in the same child exactly when those vectors are parallel; so one
-    evaluation per hyperplane outside F's mask groups them into F's
-    children, each child's mask is F's and its group's, and only a new
-    mask costs work.  Each new flat is built with one ``insert_row`` from
-    its parent's echelon, whose sorted rows (the primitive RREF of
-    ``linalg.canonical_int_rows``) are the flat's rows, and one
-    fraction-free combination of the parent's basis vectors.  The search
-    goes depth first, so only one flat per codimension holds its basis.
+    their integer rows, in the same order.  ``max_flats`` is checked first
+    against lower bounds on the flat count.  A flat is the product of the
+    connected flats on the blocks of a partition of the pieces, so with
+    conn(k) connected flats on k given pieces there are sum over
+    partitions of prod conn(|B|) flats; leaving out the blocks of more
+    than k pieces bounds that from below.  conn(1) = 1, and conn(2) is the
+    moves plus (with two moves or more) coincidence, so the first bound,
+    over matchings, needs no closure.  Then conn(k), k = 3..q-1, is taken
+    in increasing k from the closure on k pieces, and the bound is checked
+    again after each, so a refused closure costs only the smaller ones.
     """
-    pairs = len(ms) + (len(ms) > 1)
-    bound = sum(comb(q, 2 * k) * factorial(2 * k) // factorial(k) // 2 ** k
-                * pairs ** k for k in range(q // 2 + 1))
+    conn = [0, 1, len(ms) + (len(ms) > 1)]
+    bound = _partition_sum(conn, q)
     if bound > max_flats:
         raise CapacityError(
             f"semilattice closure needs at least {bound} flats, "
@@ -46,6 +51,36 @@ def close(ms, q: int, hyperplanes, rows, max_flats: int) -> dict[int, tuple]:
     # h = (i, j, r) takes d (x_j - x_i) - c (y_j - y_i) at a point.
     forms = [(2 * i, 2 * j, ms.moves[r].d, ms.moves[r].c)
              for i, j, r in hyperplanes]
+    for k in range(3, q):
+        on_k = [hid for hid, (_, j, _) in enumerate(hyperplanes) if j < k]
+        flats = len(_close(forms, [row[:2 * k] for row in rows], on_k, 2 * k,
+                           max_flats))
+        conn.append(flats - _partition_sum(conn, k))
+        bound = _partition_sum(conn, q)
+        if bound > max_flats:
+            raise CapacityError(
+                f"semilattice closure needs at least {bound} flats "
+                f"(from the closures on up to {k} pieces), over budget "
+                f"{max_flats}", flats=bound, budget=max_flats, k=k)
+    return _close(forms, rows, range(len(hyperplanes)), 2 * q, max_flats)
+
+
+def _close(forms, rows, hids, dim: int, max_flats: int) -> dict[int, tuple]:
+    """The closure of the hyperplanes ``hids`` in R^dim, by mask.
+
+    A flat is keyed by its hyperplane mask, the set of hyperplanes
+    containing it, and keeps an integer basis of its null space.
+    Hyperplane h restricted to flat F is the vector of its values on F's
+    basis, and h and g cut F in the same child exactly when those vectors
+    are parallel; so one evaluation per hyperplane outside F's mask groups
+    them into F's children, each child's mask is F's and its group's, and
+    only a new mask costs work.  Each new flat is built with one
+    ``insert_row`` from its parent's echelon, whose sorted rows (the
+    primitive RREF of ``linalg.canonical_int_rows``) are the flat's rows,
+    and one fraction-free combination of the parent's basis vectors.  The
+    search goes depth first, so only one flat per codimension holds its
+    basis.
+    """
     by_mask: dict[int, tuple] = {0: ()}
 
     def extend(mask, echelon, basis, groups) -> None:
@@ -88,8 +123,8 @@ def close(ms, q: int, hyperplanes, rows, max_flats: int) -> dict[int, tuple]:
             extend(mask | bits, extended, child_basis,
                    [(b, h) for b, h, _ in buckets if h != hid])
 
-    extend(0, [], [[int(a == b) for b in range(2 * q)] for a in range(2 * q)],
-           [(1 << hid, hid) for hid in range(len(hyperplanes))])
+    extend(0, [], [[int(a == b) for b in range(dim)] for a in range(dim)],
+           [(1 << hid, hid) for hid in hids])
     return by_mask
 
 

@@ -1,6 +1,7 @@
-from itertools import permutations
-from math import comb, factorial, perm
+from itertools import combinations, permutations
+from math import comb, factorial, perm, prod
 from random import Random
+from time import perf_counter
 
 import pytest
 from conftest import (
@@ -140,6 +141,69 @@ class TestSemilattice:
                                      "budget": len(small) - 1}
         assert len(intersection_semilattice(ms, q, max_flats=len(flats))
                    .flats) == len(flats)
+
+    def test_smaller_closures_bound_the_flats(self, queen, monkeypatch):
+        # Queen q = 4: the matching bound is 1 + 6 * 5 + 3 * 25 = 106; the
+        # closure on 3 pieces has 93 flats, so conn(3) = 93 - 16 = 77 and
+        # the bound from it is 106 + 4 * 77 = 414.  A budget of 413 is
+        # refused after the 3-piece closure, before the 4-piece one.
+        calls = []
+        insert_row = lattice.insert_row
+
+        def counted(*args):
+            calls.append(args)
+            return insert_row(*args)
+
+        monkeypatch.setattr(lattice, "insert_row", counted)
+        with pytest.raises(CapacityError) as exc:
+            intersection_semilattice(queen, 4, max_flats=413)
+        assert exc.value.context == {"flats": 414, "budget": 413, "k": 3}
+        assert str(exc.value) == (
+            "semilattice closure needs at least 414 flats (from the closures "
+            "on up to 3 pieces), over budget 413")
+        assert len(calls) == 92
+        # At 414 the bound passes, and the 4-piece closure stops at its
+        # 415th flat.
+        with pytest.raises(CapacityError) as exc:
+            intersection_semilattice(queen, 4, max_flats=414)
+        assert exc.value.context == {"flats": 415, "budget": 414}
+
+    @pytest.mark.parametrize("q, bound", [(7, 716556), (8, 11921148)])
+    def test_queen_q7_q8_refused_before_their_closure(self, queen, q, bound):
+        # Both pass the matching bound under the default max_flats, and the
+        # 3-piece closure refuses them.
+        start = perf_counter()
+        with pytest.raises(CapacityError) as exc:
+            intersection_semilattice(queen, q)
+        assert perf_counter() - start < 2
+        assert exc.value.context == {"flats": bound, "budget": 200_000,
+                                     "k": 3}
+
+    @pytest.mark.parametrize("name", PIECES)
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    def test_flat_count_is_exponential_formula(self, name, q):
+        # A flat is the product of the connected flats on the blocks of a
+        # partition of the pieces: the flat count is the sum over set
+        # partitions of the product of conn(|B|), read off this closure.
+        sl = intersection_semilattice(piece_from_text(name), q)
+        conn = {1: 1}
+        for k in range(2, q + 1):
+            conn[k] = sum(1 for f in sl.flats if is_connected(f)
+                          and f.involved == tuple(range(k)))
+
+        def partitions(pieces):
+            if not pieces:
+                yield []
+                return
+            first, rest = pieces[0], pieces[1:]
+            for size in range(len(rest) + 1):
+                for others in combinations(rest, size):
+                    left = [p for p in rest if p not in others]
+                    for tail in partitions(left):
+                        yield [(first,) + others] + tail
+
+        assert len(sl.flats) == sum(prod(conn[len(b)] for b in blocks)
+                                    for blocks in partitions(list(range(q))))
 
     def test_closure_under_intersection(self, queen_sl3):
         flats = queen_sl3.flats

@@ -4,7 +4,13 @@ from itertools import combinations
 from math import comb, lcm
 
 import pytest
-from conftest import DIRECTIONS, board_vertex_denominator, random_pieces
+from conftest import (
+    DIRECTIONS,
+    PIECES,
+    RANDOM_BOARDS,
+    board_vertex_denominator,
+    random_pieces,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import bounds, flatpolytope
@@ -125,6 +131,19 @@ class TestDenominator:
         assert info.value.context == {
             "systems": comb(len(rows), 8),
             "budget": bounds.DEFAULT_SYSTEM_BUDGET}
+
+    @pytest.mark.parametrize("board_text", RANDOM_BOARDS)
+    @pytest.mark.parametrize("name", PIECES)
+    def test_budget_counts_grand_matrix_rows(self, name, board_text):
+        # The systems are counted from the rows' number, not the matrix.
+        ms, board = piece_from_text(name), board_from_text(board_text)
+        for q in range(1, 5):
+            with pytest.raises(CapacityError) as info:
+                bounds.denominator(ms, board, q, budget=0)
+            assert info.value.context == {
+                "systems": comb(len(bounds.grand_matrix(ms, board, q)),
+                                2 * q),
+                "budget": 0}
 
     def test_vertices_feasible_and_exact(self, queen, square):
         rows = bounds.grand_matrix(queen, square, 2)
@@ -409,6 +428,28 @@ class TestDivisibilityChain:
             assume(False)
         assert denom % assembled.reduced().period == 0
         assert bounds.lcmd_direct(bounds.attack_rows(ms, q)) % denom == 0
+
+    @pytest.mark.parametrize("name, board_text, denom, lcmd_val", [
+        ("bishop", "poly:-1,0,0;0,-1,0;2,1,3", 12, 8),
+        ("rook", "rect:5/2,1", 2, 1)])
+    def test_report_notes_lcmd_not_a_multiple(self, name, board_text, denom,
+                                              lcmd_val):
+        # lcmd_direct scans the attack rows alone, so on a rational board
+        # the denominator need not divide it, and the report says so.
+        report = bounds.bounds_report(piece_from_text(name),
+                                      board_from_text(board_text), 4)
+        assert (report["denominator"], report["lcmd"]) == (denom, lcmd_val)
+        assert report["notes"][0] == (
+            f"lcmd {lcmd_val} is not a multiple of the denominator {denom}: "
+            "lcmd takes the minors of the attack rows alone, without the "
+            "board's rows, so denominator | lcmd does not hold on this board")
+
+    @pytest.mark.parametrize("name", PIECES)
+    def test_square_reports_no_chain_note(self, name, square):
+        for q in (1, 2, 3):
+            report = bounds.bounds_report(piece_from_text(name), square, q)
+            assert report["lcmd"] % report["denominator"] == 0
+            assert not any("multiple" in note for note in report["notes"])
 
     def test_report_shape(self, bishop, square):
         report = bounds.bounds_report(bishop, square, 3)

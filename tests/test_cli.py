@@ -125,6 +125,19 @@ class TestCount:
         assert data["error"]["context"] == {
             "n": "-750", "envelope": "618475290624", "budget": "10000000000"}
 
+    def test_closure_bound_from_smaller_closures(self, capsys):
+        # Seven queens pass the matching bound but not the one the 3-piece
+        # closure gives, so no 7-piece flat is built.
+        start = perf_counter()
+        code, out = run_cli(capsys, "mobius", "--piece", "queen", "--q", "7",
+                            "--format", "json")
+        assert perf_counter() - start < 2
+        assert code == 3
+        data = json.loads(out)
+        validate(data, "error.schema.json")
+        assert data["error"]["context"] == {
+            "flats": "716556", "budget": "200000", "k": "3"}
+
     # The reconstruction route's first walk is in its first alpha window,
     # at n = -2: the closed 1-fold dilate, the same box as n = 0.
     @pytest.mark.parametrize("method, cells", [("brute", 6001 * 6001),

@@ -2,8 +2,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
+import kernel_reference
 import pytest
-from conftest import RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
+from conftest import PIECES, RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
 from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import counting, kernel
@@ -23,6 +24,7 @@ from riderpoly.geometry import (
     attacks,
     board_from_text,
     interior_lattice_points,
+    piece_from_text,
 )
 
 # [1,2] x [0,1]: no two of its dilates' interiors nest, so every size
@@ -240,7 +242,6 @@ class TestCensus:
     def test_two_piece_census_counts_moves(self, square, queen, nightrider,
                                            bishop, rook, semiqueen):
         # q = 2 realizes one unlabelled type per basic move
-        from riderpoly.geometry import piece_from_text
         custom = piece_from_text("1,0;0,1;1,2;1,-2")
         for ms in (queen, nightrider, bishop, rook, semiqueen, custom):
             lab, unlab = census_at(ms, square, 2, 8)
@@ -259,11 +260,17 @@ class TestCensus:
         assert values == sorted(values)
 
     def test_iterator_yields_sorted_nonattacking(self, queen, square):
+        # The 8 nonattacking queen pairs of the 3 x 3 board: the census
+        # keeps one per comparison signature, each in ascending order.
         cells = interior_lattice_points(square, 4)
-        combos = list(kernel.iter_nonattacking_subsets(
-            attack_keys(queen, cells), 2))
+        keys = attack_keys(queen, cells)
+        combos = list(kernel_reference.iter_nonattacking_subsets(keys, 2))
         assert len(combos) == 8
-        assert all(a < b for a, b in combos)
+        kept = list(kernel.first_signatures(keys, 2).values())
+        assert set(kept) <= set(combos)
+        assert len(kept) == len({counting._signature(
+            [list(zip(*keys))[i] for i in combo]) for combo in combos})
+        assert all(a < b for a, b in kept)
 
     def test_empty_placement(self, rook, square, no_cell_listing):
         # q = 0: the empty placement's one type, with no cell listed.
@@ -281,7 +288,7 @@ class TestCensus:
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
-        monkeypatch.setattr(counting, "iter_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "first_signatures", unreachable)
         with pytest.raises(CapacityError) as exc:
             census_types(queen, square, 3, 4, 25, budget=10**5)
         assert exc.value.context["n"] == 7
@@ -297,7 +304,7 @@ class TestCensus:
         def unreachable(*args):
             raise AssertionError("work started before the budget checks")
 
-        monkeypatch.setattr(counting, "iter_nonattacking_subsets", unreachable)
+        monkeypatch.setattr(counting, "first_signatures", unreachable)
         with pytest.raises(CapacityError) as exc:
             census_types(queen, square, 4, 8, 12, budget=3 * 10**6)
         assert exc.value.context == {"n": 10, "placements": comb(100, 4),
@@ -312,13 +319,13 @@ class TestCensus:
         # The square is one run; its translate, whose dilates never nest,
         # is one run per size, with the same census.
         calls = []
-        iterate = kernel.iter_nonattacking_subsets
+        search = kernel.first_signatures
 
         def recorded(keys, q):
             calls.append(q)
-            return iterate(keys, q)
+            return search(keys, q)
 
-        monkeypatch.setattr(counting, "iter_nonattacking_subsets", recorded)
+        monkeypatch.setattr(counting, "first_signatures", recorded)
         census = census_types(queen, board_from_text(board_text), 2, 1, 6)
         assert len(calls) == runs
         assert [census[n] for n in range(1, 7)] == [
@@ -381,6 +388,17 @@ def test_census_matches_per_placement_reference(board_text, ms, q, data):
     # Every region orders the pieces totally along each move, so no
     # relabelling but the identity fixes a type.
     assert labelled == factorial(q) * unlabelled
+
+
+@pytest.mark.parametrize("board_text", RANDOM_BOARDS + (OFF_ORIGIN,))
+@pytest.mark.parametrize("name", PIECES)
+def test_census_matches_leaf_signature_census(name, board_text):
+    # The census that built each placement's signature at its leaf, over
+    # ranges of sizes whose runs nest (or, off the origin, never do).
+    ms, board = piece_from_text(name), board_from_text(board_text)
+    for q, n_to in ((1, 6), (2, 8), (3, 6), (4, 4)):
+        assert (census_types(ms, board, q, 0, n_to)
+                == kernel_reference.census_types(ms, board, q, 0, n_to)), q
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,14 +1,24 @@
-"""The bitset enumeration core against an unpruned oracle."""
+"""The bitset enumeration core against an unpruned oracle and against
+the free-cell search it replaced (``kernel_reference``)."""
 
 from itertools import combinations
+from math import comb
 
+import kernel_reference
 import pytest
-from conftest import RANDOM_BOARDS, random_pieces
-from hypothesis import given, settings, strategies as st
+from conftest import PIECES as PRESETS
+from conftest import RANDOM_BOARDS, RATIONAL_BOARDS, random_pieces
+from hypothesis import assume, given, settings, strategies as st
 
 from riderpoly import kernel
-from riderpoly.counting import attack_keys, count_nonattacking
+from riderpoly.counting import (
+    _nested_runs,
+    _signature,
+    attack_keys,
+    count_nonattacking,
+)
 from riderpoly.geometry import (
+    BoardPolygon,
     attacks,
     board_from_text,
     interior_lattice_points,
@@ -88,8 +98,8 @@ def test_iteration_matches_oracle_in_lexicographic_order(name, board_text):
     cells = interior_lattice_points(board_from_text(board_text), 6)
     keys = attack_keys(ms, cells)
     for q in (1, 2, 3):
-        assert ([tuple(cells[i] for i in combo)
-                 for combo in kernel.iter_nonattacking_subsets(keys, q)]
+        assert ([tuple(cells[i] for i in combo) for combo
+                 in kernel_reference.iter_nonattacking_subsets(keys, q)]
                 == list(naive_cell_subsets(ms, cells, q))), q
 
 
@@ -102,6 +112,78 @@ def test_trivial_cases():
     assert kernel.count_nonattacking_subsets([[1, 2, 3]], 4) == [0, 0, 0, 0]
     # three cells on one line: no nonattacking pair
     assert kernel.count_nonattacking_subsets([[7, 7, 7]], 2) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("q", range(6))
+def test_empty_and_one_cell_keys(q):
+    for keys, npts in (([], 0), ([[]], 0), ([[5]], 1), ([[5], [7]], 1)):
+        expected = [int(q == 0 or (q == 1 and k == 1)) for k in range(npts + 1)]
+        assert kernel.count_nonattacking_subsets(keys, q) == expected
+        assert kernel_reference.count_nonattacking_subsets(keys, q) == expected
+        if q:
+            assert kernel.first_signatures(keys, q) == (
+                {0: (0,)} if npts and q == 1 else {})
+
+
+PIECES_DRAWN = st.one_of(random_pieces(),
+                         st.sampled_from(PRESETS).map(piece_from_text))
+BOARDS_DRAWN = st.one_of(st.just(BoardPolygon.square()),
+                         RATIONAL_BOARDS.map(BoardPolygon))
+# The most subsets of a run's cells, C(N, q), a drawn example searches.
+MAX_SUBSETS = 200_000
+
+
+def drawn_runs(board, n_from, length, q):
+    """The cells of each run of nested sizes, as ``count_series`` lists
+    them, skipping runs too large for the reference to search."""
+    runs = [cells for cells, _ in
+            _nested_runs(board, range(n_from, n_from + length + 1))]
+    return [cells for cells in runs if comb(len(cells), q) <= MAX_SUBSETS]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ms=PIECES_DRAWN, board=BOARDS_DRAWN, q=st.integers(0, 5),
+       n_from=st.integers(0, 5), length=st.integers(0, 3))
+def test_running_totals_match_free_cell_search(ms, board, q, n_from, length):
+    """Every running count, on each nested run of a range of sizes, equals
+    the free-cell search's; on runs of at most 12 cells, also the count of
+    q-subsets with no two cells attacking by ``geometry.attacks``."""
+    runs = drawn_runs(board, n_from, length, q)
+    assume(runs)
+    for cells in runs:
+        keys = attack_keys(ms, cells)
+        totals = kernel.count_nonattacking_subsets(keys, q)
+        assert totals == kernel_reference.count_nonattacking_subsets(keys, q)
+        if len(cells) <= 12:
+            assert totals == [sum(1 for _ in naive_cell_subsets(ms, cells[:k],
+                                                                q))
+                              for k in range(len(cells) + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=PIECES_DRAWN, board=BOARDS_DRAWN, q=st.integers(1, 4),
+       n_from=st.integers(0, 5), length=st.integers(0, 2))
+def test_first_signatures_keep_one_earliest_subset_per_signature(
+        ms, board, q, n_from, length):
+    """Against every nonattacking subset the free-cell search lists: one
+    subset is kept per comparison signature, and it has the least highest
+    cell of the subsets with that signature."""
+    runs = drawn_runs(board, n_from, length, q)
+    assume(runs)
+    for cells in runs:
+        keys = attack_keys(ms, cells)
+        cell_keys = list(zip(*keys))
+        earliest = {}
+        for combo in kernel_reference.iter_nonattacking_subsets(keys, q):
+            sig = _signature([cell_keys[i] for i in combo])
+            earliest[sig] = min(earliest.get(sig, combo[-1]), combo[-1])
+        kept = kernel.first_signatures(keys, q).values()
+        assert all(combo == tuple(sorted(combo)) and all(
+            not attacks(cells[a], cells[b], ms)
+            for a, b in combinations(combo, 2)) for combo in kept)
+        assert {_signature([cell_keys[i] for i in combo]): combo[-1]
+                for combo in kept} == earliest
+        assert len(kept) == len(earliest)
 
 
 def test_kernel_name_is_reported():
