@@ -123,10 +123,10 @@ def intersection_semilattice(ms: MoveSet, q: int,
                              max_flats: int = 200_000) -> Semilattice:
     """Close the move arrangement under intersection; class the flats.
 
-    ``lattice.close`` checks ``max_flats`` against a count that needs no
-    closure, then finds every flat by its hyperplane mask: it builds each
-    new flat with one ``linalg.insert_row`` from its parent's echelon,
-    which gives the flat's rows, the primitive RREF of
+    ``lattice.close`` checks ``max_flats`` against lower bounds from the
+    closures on fewer pieces, then finds every flat by its hyperplane
+    mask: it builds each new flat with one ``linalg.insert_row`` from its
+    parent's echelon, which gives the flat's rows, the primitive RREF of
     ``canonical_int_rows``.  Flats are ordered by codimension, then by
     rows.  ``lattice.classify`` then takes, in that order, each flat not
     yet classed with its S_q orbit as an iso class: Mobius value, key and

@@ -73,6 +73,13 @@ def board_rows(board: BoardPolygon, k: int) -> list[tuple[tuple[int, ...], int]]
     return rows
 
 
+def grand_matrix_rows(ms: MoveSet, board: BoardPolygon, q: int) -> int:
+    """The number of rows of ``grand_matrix``: C(q, 2) |M| + q |board rows|."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    return comb(q, 2) * len(ms) + q * len(board.rows)
+
+
 def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
     """All equations that can pin an inside-out vertex, as (row, rhs) pairs.
 
@@ -83,8 +90,7 @@ def grand_matrix(ms: MoveSet, board: BoardPolygon, q: int) -> list:
     scanned in full, it is the reference the per-flat route is tested
     against.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
+    grand_matrix_rows(ms, board, q)     # refuses q < 1
     return [(row, 0) for row in attack_rows(ms, q)] + board_rows(board, q)
 
 
@@ -101,14 +107,11 @@ def denominator(ms: MoveSet, board: BoardPolygon, q: int,
     (``flatpolytope.class_denominators``).
 
     The budget counts the 2q-row systems of the grand matrix, as a full
-    vertex scan would solve them, from its C(q, 2) |M| + q |board rows|
-    rows, and is checked before the closure, so the nightrider q = 4
+    vertex scan would solve them, from ``grand_matrix_rows``, and is
+    checked before the closure, so the nightrider q = 4
     refusal of criterion 9 is unchanged.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    rows = comb(q, 2) * len(ms) + q * len(board.rows)
-    systems = comb(rows, 2 * q)
+    systems = comb(grand_matrix_rows(ms, board, q), 2 * q)
     if systems > budget:
         raise CapacityError(
             f"{systems} candidate systems exceed budget {budget}",

@@ -71,11 +71,13 @@ def check_size(board: BoardPolygon, n: int, budget: int, q: int,
     (``"count"``, ``"census"``) the larger of that and the C(N, k)
     subsets of k = 1..q-1 cells, the scale of the kernel's work: a count
     walks the attack edges (fewer than N^2) once for q <= 4 and, past
-    that, those among the cells left free by each nonattacking set of
-    q - 3 cells, and the census steps through the nonattacking prefixes
-    of up to q - 1 cells.
+    that, steps through the nonattacking prefixes of up to q - 1 cells,
+    as the census does.
     For ``"census"``, whose last level visits every placement, it also
-    refuses C(N, q).
+    refuses C(N, q).  The census's memory is not gated: for q >= 3 it
+    keeps up to 8 N^2 bytes of pair codes, about 120 MB at the largest N
+    the default budget allows at q = 3, where it steps through 10^10
+    placements; at q = 2 it keeps O(N).
     """
     check_walk(board, n, budget)
     cells = cell_count(board, n)

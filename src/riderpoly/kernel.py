@@ -14,15 +14,18 @@ the edges among A_c.  So q = 3 counts every prefix of the cells in one
 pass over the attack edges, and q = 2 is a popcount per cell.  A q = 4
 count adds, per cell c, the formula on the graph of the earlier cells c
 does not attack: the prefix's sums less what touches A_c, found from A_c
-and the edges inside it (``_quadruples``).  Past q = 4 a count groups the subsets by their
-highest cell c, whose rest is a (q-1)-subset of the cells before c that
-c does not attack; it steps through nonattacking prefixes down to three
-cells left, which the formula counts in the graph they induce.
+and the edges inside it (``_quadruples``).  Past q = 4 a count groups
+the subsets by their highest cell c, whose rest is a (q-1)-subset of the
+cells before c that c does not attack, and steps through the nonattacking
+prefixes of free cells; the last level is the popcount of the candidates
+left.
 
 The type census (``first_signatures``) walks the subsets themselves, but
 carries each one's comparison signature down the search: one small int
 per pair of its cells, read from a per-cell row of codes built on first
-use, so no leaf compares keys.
+use, so no leaf compares keys.  For q >= 3 it keeps the row of each cell
+placed below a top, a list of N codes, so up to 8 N^2 bytes; a q = 2
+census keeps no row past its top's subtree.
 """
 
 from __future__ import annotations
@@ -69,24 +72,6 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
-
-
-def _independent_triples(cand: int, earlier: list[int]) -> int:
-    """The nonattacking 3-subsets of the cells in cand, by the formula
-    over the graph that cand induces."""
-    k = cand.bit_count()
-    edges = cherries = triangles = 0
-    degree = dict.fromkeys(_bits(cand), 0)
-    for v in degree:
-        below = earlier[v] & cand
-        edges += below.bit_count()
-        degree[v] += below.bit_count()
-        for b in _bits(below):
-            degree[b] += 1
-            triangles += (below & earlier[b]).bit_count()
-    for d in degree.values():
-        cherries += d * (d - 1) // 2
-    return comb(k, 3) - edges * (k - 2) + cherries - triangles
 
 
 def _add(planes: list[int], mask: int) -> None:
@@ -209,23 +194,19 @@ def count_nonattacking_subsets(keys, q: int) -> list[int]:
     free = _unattacked(earlier)
 
     def extend(cand: int, left: int) -> int:
-        """Nonattacking left-subsets of the cells in cand, left >= 3."""
-        if left == 3:
-            return _independent_triples(cand, earlier)
+        """Nonattacking left-subsets of the cells in cand, left >= 2."""
         total = 0
         while cand:
             low = cand & -cand
             cand ^= low
             # cand now holds only cells after low.
             rest = cand & free[low.bit_length() - 1]
-            if rest.bit_count() >= left - 1:
-                total += extend(rest, left - 1)
+            total += rest.bit_count() if left == 2 else extend(rest, left - 1)
         return total
 
     for cell, attackers in enumerate(earlier):
         cand = ((1 << cell) - 1) ^ attackers
-        totals.append(totals[-1] + (extend(cand, q - 1)
-                                    if cand.bit_count() >= q - 1 else 0))
+        totals.append(totals[-1] + extend(cand, q - 1))
     return totals
 
 
@@ -257,7 +238,9 @@ def first_signatures(keys, q: int) -> dict[int, tuple[int, ...]]:
             for r, col in enumerate(keys):
                 x, bit = col[u], 1 << r
                 row = [acc | bit if x < y else acc for acc, y in zip(row, col)]
-            rows[u] = row
+            # A top's row is read again only once it lies below a later top.
+            if q > 2:
+                rows[u] = row
         return row
 
     def extend(cand: int, chosen: tuple, codes: tuple, sig: int, left: int):

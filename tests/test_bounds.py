@@ -138,6 +138,8 @@ class TestDenominator:
         # The systems are counted from the rows' number, not the matrix.
         ms, board = piece_from_text(name), board_from_text(board_text)
         for q in range(1, 5):
+            assert bounds.grand_matrix_rows(ms, board, q) == len(
+                bounds.grand_matrix(ms, board, q))
             with pytest.raises(CapacityError) as info:
                 bounds.denominator(ms, board, q, budget=0)
             assert info.value.context == {

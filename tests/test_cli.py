@@ -125,13 +125,20 @@ class TestCount:
         assert data["error"]["context"] == {
             "n": "-750", "envelope": "618475290624", "budget": "10000000000"}
 
-    def test_closure_bound_from_smaller_closures(self, capsys):
+    def test_closure_bound_from_smaller_closures(self, capsys, monkeypatch):
         # Seven queens pass the matching bound but not the one the 3-piece
-        # closure gives, so no 7-piece flat is built.
-        start = perf_counter()
+        # closure gives, so no flat past the 92 of that closure is built.
+        calls = []
+        insert_row = lattice.insert_row
+
+        def counted(*args):
+            calls.append(args)
+            return insert_row(*args)
+
+        monkeypatch.setattr(lattice, "insert_row", counted)
         code, out = run_cli(capsys, "mobius", "--piece", "queen", "--q", "7",
                             "--format", "json")
-        assert perf_counter() - start < 2
+        assert len(calls) == 92
         assert code == 3
         data = json.loads(out)
         validate(data, "error.schema.json")
